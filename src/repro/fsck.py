@@ -6,9 +6,11 @@ trusted?*  It runs three phases, each strictly weaker failures short-cut:
 1. **Open & recover** — locate the superblock (durable stores are
    self-describing), replay any intact write-journal records, and refuse
    precisely when the file cannot be opened at all.
-2. **Page scan** — read every committed page raw, verify its CRC32C
+2. **Page scan** — read every committed page raw, verify its checksum
    trailer (durable stores), and decode it with the node codec.  Every
-   failure is collected, not just the first.
+   failure is collected, not just the first.  Verified pages are counted
+   per trailer (checksum) version, so an operator can see which files
+   still verify on the slow version-1 path.
 3. **Structural walk** — when all pages are intact, reattach the tree and
    check the R-tree invariants (MBR containment, level monotonicity,
    reference counts, record counts) plus reachability: a committed page
@@ -22,7 +24,8 @@ and checked against the directory invariant that only the
 highest-numbered segment may be unsealed; the generation pointer, when
 present, must parse, pass its CRC and name an existing file.  A torn
 active tail is *reported but not an error* — it is exactly the un-acked
-partial line a crash legally leaves and the next open discards.
+partial line a crash legally leaves and the next open discards.  Intact
+WAL records are counted per format (checksum) version.
 
 The result is an :class:`FsckReport` — renderable for terminals,
 JSON-able for run manifests (the CLI embeds it under ``extra.fsck``).
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .rtree.paged import PagedRTree
@@ -39,6 +43,7 @@ from .rtree.validate import iter_paged_violations
 from .storage.integrity import (
     ChecksumError,
     IntegrityError,
+    trailer_info,
     verify_trailer,
 )
 from .storage.page import PageFormatError, decode_node
@@ -85,6 +90,10 @@ class FsckReport:
     wal_errors: list[str] = field(default_factory=list)
     #: Per-segment ingest summary, when a sidecar directory exists.
     ingest: dict | None = None
+    #: Verified pages per trailer version (checksum format).
+    trailer_versions: Counter[int] = field(default_factory=Counter)
+    #: Intact WAL records per format version, across all segments.
+    wal_versions: Counter[int] = field(default_factory=Counter)
 
     @property
     def error_count(self) -> int:
@@ -116,6 +125,8 @@ class FsckReport:
             "wal_errors": list(self.wal_errors),
             "ingest": dict(self.ingest) if self.ingest is not None
             else None,
+            "trailer_versions": _by_version(self.trailer_versions),
+            "wal_versions": _by_version(self.wal_versions),
             "clean": self.clean,
         }
 
@@ -132,6 +143,10 @@ class FsckReport:
             f"durability {'+'.join(flags) if flags else 'none'}, "
             f"{self.pages_checked} pages scanned"
         )
+        if self.trailer_versions:
+            lines.append(
+                f"  trailer versions: "
+                f"{_render_versions(self.trailer_versions, 'page')}")
         if self.journal_recovered:
             lines.append(
                 f"  journal: replayed {self.recovered_pages} page(s)"
@@ -155,6 +170,10 @@ class FsckReport:
                     f"    wal-{seg['seq']:08d}: {seg['state']}, "
                     f"{seg['ops']} op(s), last lsn {seg['last_lsn']}"
                 )
+            if self.wal_versions:
+                lines.append(
+                    f"    record versions: "
+                    f"{_render_versions(self.wal_versions, 'record')}")
         for title, errors in (("checksum", self.checksum_errors),
                               ("decode", self.decode_errors),
                               ("structural", self.structural_errors),
@@ -167,6 +186,16 @@ class FsckReport:
         lines.append("  clean" if self.clean
                      else f"  {self.error_count} error(s)")
         return "\n".join(lines)
+
+
+def _by_version(counts: Counter[int]) -> dict[str, int]:
+    """JSON form of a per-version count (string keys, sorted)."""
+    return {str(version): counts[version] for version in sorted(counts)}
+
+
+def _render_versions(counts: Counter[int], unit: str) -> str:
+    return ", ".join(f"v{version} {counts[version]} {unit}(s)"
+                     for version in sorted(counts))
 
 
 def _load_sidecar(meta_path: str) -> dict:
@@ -256,6 +285,7 @@ def _fsck_store(path: str | os.PathLike, *,
                     report.checksum_errors.append(str(exc))
                     report.bad_pages.append(pid)
                     continue
+                report.trailer_versions[trailer_info(image)["version"]] += 1
             try:
                 decode_node(payload, page_id=pid, source=path)
             except PageFormatError as exc:
@@ -353,6 +383,7 @@ def _check_ingest(path: str, report: FsckReport) -> None:
                  "last_lsn": 0, "bytes": os.path.getsize(seg_path)})
             continue
         segments.append(segment)
+        report.wal_versions.update(segment.versions)
         state = ("sealed" if segment.sealed
                  else "active+torn" if segment.torn else "active")
         summary["segments"].append(

@@ -47,7 +47,7 @@ from ..pipeline.staging import atomic_write_bytes, check_record_crc, \
 from ..rtree.bulk import bulk_load
 from ..rtree.paged import PagedRTree
 from ..storage.faults import CrashPlan
-from ..storage.integrity import TRAILER_SIZE
+from ..storage.integrity import TRAILER_SIZE, format_tag, readable_tags
 from ..storage.journal import journal_path
 from ..storage.page import required_page_size
 from ..storage.store import FilePageStore, SimulatedCrash
@@ -66,7 +66,9 @@ __all__ = [
 ]
 
 #: Format tag of the generation pointer document.
-POINTER_FORMAT = "repro-ingest-generation-v1"
+POINTER_FORMAT = format_tag("repro-ingest-generation")
+#: Pointer format tags this build reads (one per checksum version).
+_POINTER_FORMATS = readable_tags("repro-ingest-generation")
 #: Filename of the pointer inside the ingest directory.
 POINTER_NAME = "generation.json"
 
@@ -113,9 +115,13 @@ def read_pointer(dir_path: str) -> GenerationPointer | None:
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"{path}: unreadable generation pointer "
                           f"({exc})") from exc
-    if (not isinstance(payload, dict)
-            or payload.get("format") != POINTER_FORMAT):
-        raise IngestError(f"{path}: not a {POINTER_FORMAT} document")
+    if not isinstance(payload, dict):
+        raise IngestError(f"{path}: not a generation pointer document")
+    if payload.get("format") not in _POINTER_FORMATS:
+        raise IngestError(
+            f"{path}: unsupported generation pointer format "
+            f"{payload.get('format')!r} (this build reads "
+            f"{', '.join(_POINTER_FORMATS)})")
     if not check_record_crc(payload):
         raise IngestError(f"{path}: generation pointer fails its CRC")
     try:

@@ -4,9 +4,11 @@ Every ``insert``/``delete`` the server acks is first appended — and
 fsynced — to one of these logs, so an acked write survives any crash.
 The format deliberately reuses the repo's two proven durability idioms:
 
-* each record is one NDJSON line carrying its own CRC32C over the
+* each record is one NDJSON line carrying its own checksum over the
   canonical record body (:func:`repro.pipeline.staging.record_crc`),
-  exactly like the build pipeline's checkpoint log;
+  exactly like the build pipeline's checkpoint log.  The record's
+  ``format`` tag names the checksum version it was stamped with, so a
+  segment written by an older build can gain current-version appends;
 * on open, a *torn tail* — the one partial line a SIGKILL mid-append
   can leave — is silently discarded (it was never acked) and physically
   truncated away, while corruption anywhere **before** the tail means
@@ -29,6 +31,7 @@ the same order, which is what makes the background merge reproducible
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Sequence
 
@@ -37,6 +40,12 @@ import json
 from ..core.geometry import GeometryError, Rect
 from ..pipeline.staging import check_record_crc, record_crc
 from ..storage.faults import CrashPlan
+from ..storage.integrity import (
+    CHECKSUM_VERSION,
+    format_tag,
+    readable_tags,
+    tag_version,
+)
 from ..storage.store import SimulatedCrash
 
 __all__ = [
@@ -52,7 +61,9 @@ __all__ = [
 ]
 
 #: Format tag stamped into every WAL record.
-WAL_FORMAT = "repro-ingest-wal-v1"
+WAL_FORMAT = format_tag("repro-ingest-wal")
+#: Format tags a WAL record may carry (one per readable checksum version).
+_WAL_FORMATS = readable_tags("repro-ingest-wal")
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
@@ -148,15 +159,16 @@ class WalSegment:
     ``torn`` means a partial final line was discarded — only legal on
     the unsealed (active) segment.  ``valid_bytes`` is the offset just
     past the last intact record, i.e. where a writer must truncate
-    before appending again.
+    before appending again.  ``versions`` counts intact records (seal
+    included) per checksum version.
     """
 
     __slots__ = ("path", "seq", "ops", "sealed", "torn", "valid_bytes",
-                 "size_bytes")
+                 "size_bytes", "versions")
 
     def __init__(self, path: str, seq: int, ops: list[WalOp], *,
                  sealed: bool, torn: bool, valid_bytes: int,
-                 size_bytes: int):
+                 size_bytes: int, versions: Counter[int] | None = None):
         self.path = path
         self.seq = seq
         self.ops = ops
@@ -164,11 +176,19 @@ class WalSegment:
         self.torn = torn
         self.valid_bytes = valid_bytes
         self.size_bytes = size_bytes
+        self.versions: Counter[int] = (
+            versions if versions is not None else Counter())
 
     @property
     def last_lsn(self) -> int:
         """LSN of the final op (0 for an empty segment)."""
         return self.ops[-1].lsn if self.ops else 0
+
+    def _appended(self, line: bytes) -> None:
+        """Account one record this build appended to the file."""
+        self.size_bytes += len(line)
+        self.valid_bytes = self.size_bytes
+        self.versions[CHECKSUM_VERSION] += 1
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "WalSegment":
@@ -184,6 +204,7 @@ class WalSegment:
         body, tail = lines[:-1], lines[-1]
 
         ops: list[WalOp] = []
+        versions: Counter[int] = Counter()
         sealed = False
         offset = 0
         for lineno, line in enumerate(body, 1):
@@ -201,12 +222,14 @@ class WalSegment:
                     f"{where}: unparseable WAL record ({exc})") from exc
             if not isinstance(record, dict):
                 raise WalCorrupt(f"{where}: WAL record is not an object")
-            if record.get("format") != WAL_FORMAT:
+            tag = record.get("format")
+            if not isinstance(tag, str) or tag not in _WAL_FORMATS:
                 raise WalCorrupt(
-                    f"{where}: unexpected record format "
-                    f"{record.get('format')!r}")
+                    f"{where}: unsupported record format {tag!r} (this "
+                    f"build reads {', '.join(_WAL_FORMATS)})")
             if not check_record_crc(record):
                 raise WalCorrupt(f"{where}: WAL record fails its CRC")
+            versions[tag_version(tag)] += 1
             if record.get("op") == "seal":
                 count = record.get("count")
                 last = record.get("last_lsn")
@@ -231,7 +254,8 @@ class WalSegment:
             raise WalCorrupt(
                 f"{path}: trailing bytes after the seal record")
         return cls(path, seq, ops, sealed=sealed, torn=torn,
-                   valid_bytes=offset, size_bytes=len(data))
+                   valid_bytes=offset, size_bytes=len(data),
+                   versions=versions)
 
 
 def _encode_record(body: dict[str, object]) -> bytes:
@@ -393,8 +417,7 @@ class WriteAheadLog:
         self._physical_append(f, line)
         active = self.segments[-1]
         active.ops.append(walop)
-        active.size_bytes += len(line)
-        active.valid_bytes = active.size_bytes
+        active._appended(line)
         self._last_lsn = walop.lsn
         return walop
 
@@ -421,8 +444,7 @@ class WriteAheadLog:
             if self._crashed and self._file is not None:
                 self._file.close()
                 self._file = None
-        active.size_bytes += len(line)
-        active.valid_bytes = active.size_bytes
+        active._appended(line)
         active.sealed = True
         f.close()
         self._file = None

@@ -7,7 +7,7 @@ touch the log — they publish ``shard-*.done.json`` files and exit, so a
 worker killed mid-write can at worst leave a ``*.tmp-<pid>`` sibling
 that :meth:`~repro.pipeline.staging.StagingDir.sweep_tmp` clears.
 
-Each line is a JSON object carrying its own CRC32C (over the canonical
+Each line is a JSON object carrying its own checksum (over the canonical
 form of the record minus the ``crc`` key).  On resume the log is read
 line by line; a torn *tail* — the one partial line an append crushed by
 SIGKILL can leave — is discarded silently, while corruption anywhere
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 
+from ..storage.integrity import format_tag
 from .staging import StagingError, check_record_crc, record_crc
 
 __all__ = [
@@ -29,7 +30,7 @@ __all__ = [
     "CheckpointLog",
 ]
 
-CHECKPOINT_FORMAT = "repro-build-checkpoint-v1"
+CHECKPOINT_FORMAT = format_tag("repro-build-checkpoint")
 CHECKPOINT_NAME = "checkpoint.ndjson"
 
 

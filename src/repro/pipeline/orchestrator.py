@@ -37,6 +37,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 import numpy as np
@@ -65,7 +66,7 @@ from .staging import (
     StagingDir,
     atomic_write_json,
     check_record_crc,
-    file_crc32c,
+    file_checksum,
 )
 from . import worker as shard_worker
 
@@ -147,7 +148,7 @@ def _verify_shard_output(staging: StagingDir, shard: int,
         path = staging.file(name)
         if not os.path.exists(path):
             return None, f"{name} missing"
-        crc, size = file_crc32c(path)
+        crc, size = file_checksum(path)
         if crc != record.get(crc_key) or size != record.get(bytes_key):
             return None, f"{name} does not match its recorded CRC"
     return record, ""
@@ -310,7 +311,10 @@ class _Supervisor:
                     shard = pending.popleft()
                     running[shard] = (self._launch(ctx, shard),
                                       time.monotonic())
-                time.sleep(self.poll_s)
+                # Wake the moment any worker exits; otherwise after one
+                # poll interval, for the heartbeat and deadline checks.
+                wait([proc.sentinel for proc, _ in running.values()],
+                     timeout=self.poll_s)
                 for shard, (proc, started_at) in list(running.items()):
                     if proc.is_alive():
                         if self._heartbeat_age(shard, started_at) \

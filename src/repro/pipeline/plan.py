@@ -34,14 +34,14 @@ import numpy as np
 
 from ..core.geometry import GeometryError, RectArray
 from ..core.packing.str_ import str_slab_sizes
-from ..storage.integrity import crc32c
+from ..storage.integrity import checksum, format_tag
 from .staging import (
     StagingDir,
     StagingError,
     atomic_save_npy,
     atomic_write_json,
     check_record_crc,
-    file_crc32c,
+    file_checksum,
     record_crc,
 )
 
@@ -56,7 +56,7 @@ __all__ = [
     "load_staged_input",
 ]
 
-PLAN_FORMAT = "repro-build-plan-v1"
+PLAN_FORMAT = format_tag("repro-build-plan")
 
 #: Staged input array files (all published atomically, CRC-recorded in
 #: the plan).  ``xorder`` is the global stable argsort by center-x that
@@ -81,7 +81,7 @@ class BuildPlan:
     ndim: int
     capacity: int
     page_size: int
-    #: CRC32C binding the plan to the exact input (coords + ids).
+    #: Checksum binding the plan to the exact input (coords + ids).
     fingerprint: int
     #: Top-level STR slab sizes, in slab order; one shard per slab.
     slab_sizes: tuple[int, ...]
@@ -123,13 +123,13 @@ class BuildPlan:
 
 def input_fingerprint(rects: RectArray, ids: np.ndarray, *,
                       capacity: int, page_size: int) -> int:
-    """CRC32C binding coordinates, ids and build parameters together."""
+    """Checksum binding coordinates, ids and build parameters together."""
     header = (f"{len(rects)}:{rects.ndim}:{capacity}:{page_size}"
               .encode("ascii"))
-    crc = crc32c(header)
-    crc = crc32c(np.ascontiguousarray(rects.los).tobytes(), crc)
-    crc = crc32c(np.ascontiguousarray(rects.his).tobytes(), crc)
-    return crc32c(np.ascontiguousarray(ids, dtype=np.int64).tobytes(), crc)
+    crc = checksum(header)
+    crc = checksum(np.ascontiguousarray(rects.los).tobytes(), crc)
+    crc = checksum(np.ascontiguousarray(rects.his).tobytes(), crc)
+    return checksum(np.ascontiguousarray(ids, dtype=np.int64).tobytes(), crc)
 
 
 def make_plan(rects: RectArray, ids: np.ndarray, *, capacity: int,
@@ -164,7 +164,7 @@ def stage_input(staging: StagingDir, plan: BuildPlan, rects: RectArray,
     for name, array in arrays.items():
         path = staging.file(name)
         atomic_save_npy(path, array)
-        crc, size = file_crc32c(path)
+        crc, size = file_checksum(path)
         table[name] = {"crc": crc, "bytes": size}
     return table
 
@@ -193,9 +193,11 @@ def load_plan(staging: StagingDir, *, verify_inputs: bool = True
     except (OSError, json.JSONDecodeError) as exc:
         raise ResumeMismatch(f"{path}: unreadable plan ({exc})") from exc
     if record.get("format") != PLAN_FORMAT:
+        # Includes plans from another checksum version: staging is
+        # rebuilt, never re-verified under an older format.
         raise ResumeMismatch(
             f"{path}: not a {PLAN_FORMAT} file "
-            f"(format={record.get('format')!r})"
+            f"(format={record.get('format')!r}); rebuild without resume"
         )
     if not check_record_crc(record):
         raise ResumeMismatch(f"{path}: plan record fails its CRC")
@@ -216,7 +218,7 @@ def load_plan(staging: StagingDir, *, verify_inputs: bool = True
             target = staging.file(name)
             if not os.path.exists(target):
                 raise ResumeMismatch(f"{target}: staged input missing")
-            crc, size = file_crc32c(target)
+            crc, size = file_checksum(target)
             if crc != entry["crc"] or size != entry["bytes"]:
                 raise ResumeMismatch(
                     f"{target}: staged input does not match the plan "

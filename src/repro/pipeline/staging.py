@@ -10,7 +10,7 @@ rules that make a staging directory crash-safe are small and uniform:
   file, and two writers racing on the same logical file (an orphaned
   worker from a killed orchestrator vs. its replacement) both publish
   complete images;
-* published files are verified by content CRC32C before they are
+* published files are verified by content checksum before they are
   trusted on resume;
 * the directory itself is context-managed: a *clean exception* removes
   it (no litter after a failed in-process build), while a hard kill
@@ -30,7 +30,12 @@ import os
 import shutil
 from typing import Any
 
-from ..storage.integrity import crc32c
+from ..storage.integrity import (
+    CHECKSUM_VERSION,
+    IntegrityError,
+    checksum,
+    tag_version,
+)
 
 __all__ = [
     "StagingError",
@@ -38,7 +43,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_save_npy",
-    "file_crc32c",
+    "file_checksum",
     "record_crc",
     "check_record_crc",
 ]
@@ -88,9 +93,10 @@ def atomic_save_npy(path: str | os.PathLike, array: Any) -> str:
     return path
 
 
-def file_crc32c(path: str | os.PathLike, *, chunk_bytes: int = 1 << 20
-                ) -> tuple[int, int]:
-    """``(crc32c, size)`` of a file's full contents."""
+def file_checksum(path: str | os.PathLike, *, chunk_bytes: int = 1 << 20
+                  ) -> tuple[int, int]:
+    """``(checksum, size)`` of a file's full contents, at the current
+    checksum version (staging is never resumed across versions)."""
     crc = 0
     size = 0
     with open(os.fspath(path), "rb") as f:
@@ -98,23 +104,31 @@ def file_crc32c(path: str | os.PathLike, *, chunk_bytes: int = 1 << 20
             chunk = f.read(chunk_bytes)
             if not chunk:
                 break
-            crc = crc32c(chunk, crc)
+            crc = checksum(chunk, crc)
             size += len(chunk)
     return crc, size
 
 
 def record_crc(record: dict) -> int:
-    """CRC32C over a JSON record's canonical form (its ``crc`` key, if
-    present, is excluded — that is where this value goes)."""
+    """Checksum over a JSON record's canonical form (its ``crc`` key, if
+    present, is excluded — that is where this value goes), at the version
+    its ``format`` tag names (the current version when it has none)."""
     body = {k: v for k, v in record.items() if k != "crc"}
-    return crc32c(json.dumps(body, sort_keys=True,
-                             separators=(",", ":")).encode())
+    tag = record.get("format")
+    version = tag_version(tag) if isinstance(tag, str) else CHECKSUM_VERSION
+    return checksum(json.dumps(body, sort_keys=True,
+                               separators=(",", ":")).encode(),
+                    version=version)
 
 
 def check_record_crc(record: dict) -> bool:
-    """Does the record's embedded ``crc`` match its contents?"""
-    return isinstance(record.get("crc"), int) \
-        and record["crc"] == record_crc(record)
+    """Does the record's embedded ``crc`` match its contents?  ``False``
+    too when its format tag names a version this build cannot verify."""
+    try:
+        return isinstance(record.get("crc"), int) \
+            and record["crc"] == record_crc(record)
+    except IntegrityError:
+        return False
 
 
 class StagingDir:

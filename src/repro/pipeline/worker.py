@@ -42,13 +42,14 @@ from ..core.geometry import RectArray
 from ..core.packing.base import leaf_group_sizes
 from ..core.packing.str_ import SortTileRecursive
 from ..obs.metrics import MetricsRegistry
+from ..storage.integrity import format_tag
 from ..storage.page import NodePage, encode_node
 from .plan import load_staged_input
 from .staging import (
     atomic_save_npy,
     atomic_write_bytes,
     atomic_write_json,
-    file_crc32c,
+    file_checksum,
     record_crc,
 )
 
@@ -63,7 +64,7 @@ __all__ = [
     "run_shard",
 ]
 
-DONE_FORMAT = "repro-shard-done-v1"
+DONE_FORMAT = format_tag("repro-shard-done")
 
 
 class InjectedWorkerFault(RuntimeError):
@@ -222,8 +223,8 @@ def run_shard(
             os.path.join(staging_path, mbrs_name(shard)),
             np.stack([mbrs.los, mbrs.his], axis=1),
         )
-        run_crc, run_bytes = file_crc32c(run_path)
-        mbrs_crc, mbrs_bytes = file_crc32c(mbrs_path)
+        run_crc, run_bytes = file_checksum(run_path)
+        mbrs_crc, mbrs_bytes = file_checksum(mbrs_path)
         record = {
             "format": DONE_FORMAT,
             "shard": shard,

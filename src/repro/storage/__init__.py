@@ -13,7 +13,7 @@ from .faults import (
     TransientIOError,
     flip_bit,
 )
-from .integrity import ChecksumError, IntegrityError, SuperblockError, crc32c
+from .integrity import ChecksumError, IntegrityError, SuperblockError
 from .journal import JournalError, WriteJournal, journal_has_records, journal_path
 from .mmap_store import MmapPageStore
 from .page import NodePage, decode_node, encode_node, required_page_size
@@ -50,7 +50,6 @@ __all__ = [
     "IntegrityError",
     "ChecksumError",
     "SuperblockError",
-    "crc32c",
     "JournalError",
     "WriteJournal",
     "journal_path",

@@ -1,4 +1,4 @@
-"""Page integrity: CRC32C checksums, page trailers, and the superblock.
+"""Page integrity: versioned checksums, page trailers, and the superblock.
 
 The paper's experiments run the buffer manager over a raw disk partition,
 which makes silent corruption a real failure mode: a torn write or a single
@@ -7,31 +7,51 @@ node).  This module supplies the two on-disk structures that make a
 :class:`~repro.storage.store.FilePageStore` self-verifying:
 
 * a fixed-size **page trailer** stamped into the zero padding at the end of
-  every page, holding a format version, the page's own id and a CRC32C of
+  every page, holding a format version, the page's own id and a checksum of
   the payload — verified on every read, so corruption is detected *before*
   the page codec ever sees the bytes;
 * a **superblock** describing the store (page size, durability flags,
   committed page count) and the tree it holds (height, root page, ndim,
   capacity, size).  Two shadow slots are written alternately with a
   monotonically increasing sequence number, so a superblock update is
-  atomic: a torn slot fails its CRC and the previous slot wins.
+  atomic: a torn slot fails its checksum and the previous slot wins.
 
-Checksums use CRC32C (Castagnoli) — the polynomial used by ext4, btrfs and
-iSCSI — implemented here as a dependency-free slice-by-4 table lookup.
+Which checksum a structure carries is a format decision made here and
+nowhere else.  One table maps each checksum version to its function:
+
+* version 1 — CRC32C (Castagnoli), the dependency-free slice-by-4 loop
+  below; still verified, so files written with it stay readable, and
+  kept as the known-vector reference;
+* version 2 — CRC-32 (IEEE 802.3) from the stdlib :mod:`zlib`, which
+  runs at C speed.
+
+Writers always stamp :data:`CHECKSUM_VERSION`.  Readers take the function
+from the version the bytes name: the trailer and superblock version
+fields, the journal header, and the ``-v<N>`` suffix of a JSON record's
+``format`` tag (:func:`format_tag`, :func:`tag_version`).  Both are 32-bit
+CRCs: each detects every single-bit flip and every burst of up to 32 bits.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "IntegrityError",
     "ChecksumError",
     "SuperblockError",
     "crc32c",
+    "CHECKSUM_VERSION",
+    "CHECKSUM_VERSIONS",
+    "checksum",
+    "format_tag",
+    "readable_tags",
+    "tag_version",
+    "unsupported_version",
     "TRAILER_SIZE",
-    "TRAILER_VERSION",
     "stamp_trailer",
     "verify_trailer",
     "trailer_info",
@@ -56,7 +76,7 @@ class SuperblockError(IntegrityError):
     """No valid superblock slot could be decoded."""
 
 
-# -- CRC32C (Castagnoli), slice-by-4 ----------------------------------------
+# -- version 1: CRC32C (Castagnoli), slice-by-4 -----------------------------
 
 _POLY = 0x82F63B78  # reflected 0x1EDC6F41
 
@@ -92,12 +112,62 @@ def crc32c(data: bytes, value: int = 0) -> int:
     return crc ^ 0xFFFFFFFF
 
 
+# -- the version table -------------------------------------------------------
+
+_CHECKSUMS: dict[int, Callable[[bytes, int], int]] = {
+    1: crc32c,
+    2: zlib.crc32,
+}
+
+#: The version every writer stamps.
+CHECKSUM_VERSION = 2
+#: Every version this build can verify, oldest first.
+CHECKSUM_VERSIONS = tuple(sorted(_CHECKSUMS))
+
+
+def unsupported_version(what: str, version: object) -> str:
+    """The message refusing a ``what`` stamped with an unknown version."""
+    readable = ", ".join(str(v) for v in CHECKSUM_VERSIONS)
+    return (f"unsupported {what} version {version} "
+            f"(this build reads versions {readable})")
+
+
+def checksum(data: bytes, value: int = 0, *,
+             version: int = CHECKSUM_VERSION) -> int:
+    """Checksum of ``data`` under format ``version``, continuing from
+    ``value`` (0 for a fresh sum).  Raises :class:`IntegrityError` for a
+    version this build cannot read."""
+    function = _CHECKSUMS.get(version)
+    if function is None:
+        raise IntegrityError(unsupported_version("checksum", version))
+    return function(data, value)
+
+
+def format_tag(stem: str) -> str:
+    """The ``format`` tag writers stamp on a checksummed JSON record:
+    ``<stem>-v<CHECKSUM_VERSION>``."""
+    return f"{stem}-v{CHECKSUM_VERSION}"
+
+
+def readable_tags(stem: str) -> tuple[str, ...]:
+    """Every ``<stem>-v<N>`` tag whose checksum this build can verify."""
+    return tuple(f"{stem}-v{version}" for version in CHECKSUM_VERSIONS)
+
+
+def tag_version(tag: str) -> int:
+    """The checksum version a ``format`` tag's ``-v<N>`` suffix names."""
+    _, sep, digits = tag.rpartition("-v")
+    if not sep or not digits.isdigit():
+        raise IntegrityError(f"format tag {tag!r} names no version")
+    return int(digits)
+
+
 # -- page trailer ------------------------------------------------------------
 
 TRAILER_MAGIC = 0x4C525452  # "RTRL" little-endian
-TRAILER_VERSION = 1
 
 #: magic, version, flags, page_id — the CRC covers payload + these bytes.
+#: The version is the checksum version the CRC was computed with.
 _TRAILER_PREFIX = struct.Struct("<IHHq")
 _TRAILER_CRC = struct.Struct("<I")
 
@@ -114,8 +184,9 @@ def stamp_trailer(page: bytes, page_id: int) -> bytes:
     store enforces that before calling.
     """
     payload = page[:len(page) - TRAILER_SIZE]
-    prefix = _TRAILER_PREFIX.pack(TRAILER_MAGIC, TRAILER_VERSION, 0, page_id)
-    crc = crc32c(prefix, crc32c(payload))
+    prefix = _TRAILER_PREFIX.pack(TRAILER_MAGIC, CHECKSUM_VERSION, 0,
+                                  page_id)
+    crc = checksum(prefix, checksum(payload))
     return payload + prefix + _TRAILER_CRC.pack(crc) + b"\x00" * 4
 
 
@@ -146,24 +217,24 @@ def verify_trailer(page: bytes, page_id: int, *, source: str = "") -> bytes:
             f"expected 0x{TRAILER_MAGIC:08x}) — page never written, or "
             f"written without checksums"
         )
-    if info["version"] != TRAILER_VERSION:
+    version = info["version"]
+    if version not in _CHECKSUMS:
         raise ChecksumError(
-            f"{where}: unsupported trailer version {info['version']} "
-            f"(this build reads version {TRAILER_VERSION})"
-        )
+            f"{where}: {unsupported_version('trailer', version)}")
     if info["page_id"] != page_id:
         raise ChecksumError(
             f"{where}: trailer claims page id {info['page_id']} — page "
             f"image stored at the wrong slot"
         )
     payload = page[:len(page) - TRAILER_SIZE]
-    prefix = _TRAILER_PREFIX.pack(TRAILER_MAGIC, TRAILER_VERSION,
-                                  info["flags"], page_id)
-    want = crc32c(prefix, crc32c(payload))
+    prefix = _TRAILER_PREFIX.pack(TRAILER_MAGIC, version, info["flags"],
+                                  page_id)
+    crc = _CHECKSUMS[version]
+    want = crc(prefix, crc(payload, 0))
     if want != info["crc"]:
         raise ChecksumError(
-            f"{where}: CRC32C mismatch (stored 0x{info['crc']:08x}, "
-            f"computed 0x{want:08x}) — page is corrupt"
+            f"{where}: checksum mismatch (trailer v{version}, stored "
+            f"0x{info['crc']:08x}, computed 0x{want:08x}) — page is corrupt"
         )
     return payload + b"\x00" * TRAILER_SIZE
 
@@ -171,7 +242,6 @@ def verify_trailer(page: bytes, page_id: int, *, source: str = "") -> bytes:
 # -- superblock ---------------------------------------------------------------
 
 SUPERBLOCK_MAGIC = 0x50555352  # "RSUP" little-endian
-SUPERBLOCK_VERSION = 1
 
 #: Number of shadow slots (physical pages reserved at the front of the file).
 SUPERBLOCK_SLOTS = 2
@@ -179,7 +249,7 @@ SUPERBLOCK_SLOTS = 2
 FLAG_CHECKSUMS = 1
 FLAG_JOURNAL = 2
 
-# magic, version, flags, page_size, seq, page_count,
+# magic, version (of the checksum), flags, page_size, seq, page_count,
 # has_tree, height, root_page, ndim, capacity, size
 _SUPER = struct.Struct("<IHHIQQBiqiiq")
 _SUPER_CRC = struct.Struct("<I")
@@ -207,14 +277,14 @@ class Superblock:
         """Serialise into exactly ``page_size`` bytes (CRC-protected)."""
         tree = self.tree if self.tree is not None else {}
         body = _SUPER.pack(
-            SUPERBLOCK_MAGIC, SUPERBLOCK_VERSION, self.flags,
+            SUPERBLOCK_MAGIC, CHECKSUM_VERSION, self.flags,
             self.page_size, self.seq, self.page_count,
             1 if self.tree is not None else 0,
             int(tree.get("height", 0)), int(tree.get("root_page", 0)),
             int(tree.get("ndim", 0)), int(tree.get("capacity", 0)),
             int(tree.get("size", 0)),
         )
-        body += _SUPER_CRC.pack(crc32c(body))
+        body += _SUPER_CRC.pack(checksum(body))
         if len(body) > self.page_size:
             raise SuperblockError(
                 f"page size {self.page_size} too small for a superblock "
@@ -236,17 +306,15 @@ class Superblock:
                 f"{where}: bad magic 0x{magic:08x} "
                 f"(expected 0x{SUPERBLOCK_MAGIC:08x})"
             )
-        if version != SUPERBLOCK_VERSION:
+        if version not in _CHECKSUMS:
             raise SuperblockError(
-                f"{where}: unsupported version {version} "
-                f"(this build reads version {SUPERBLOCK_VERSION})"
-            )
+                f"{where}: {unsupported_version('superblock', version)}")
         (crc,) = _SUPER_CRC.unpack_from(data, _SUPER.size)
-        want = crc32c(data[:_SUPER.size])
+        want = checksum(data[:_SUPER.size], version=version)
         if crc != want:
             raise SuperblockError(
-                f"{where}: CRC32C mismatch (stored 0x{crc:08x}, "
-                f"computed 0x{want:08x})"
+                f"{where}: checksum mismatch (superblock v{version}, "
+                f"stored 0x{crc:08x}, computed 0x{want:08x})"
             )
         tree = None
         if has_tree:

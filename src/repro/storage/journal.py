@@ -4,7 +4,7 @@ A torn write — a crash that leaves only a prefix of a page on disk — is
 the one failure a per-page checksum can detect but not repair.  The fix is
 the classic double-write protocol (InnoDB's doublewrite buffer, Postgres
 full-page writes): before a page image is written in place, the *complete*
-image is appended to a side journal together with its CRC32C.  Only then
+image is appended to a side journal together with its checksum.  Only then
 does the in-place write start.  On reopen after a crash:
 
 * a record that is fully present and passes its CRC is **replayed** — the
@@ -17,6 +17,12 @@ does the in-place write start.  On reopen after a crash:
 The journal is truncated back to its header at every checkpoint (flush /
 clean close), so steady-state cost is one extra sequential write per page
 update.
+
+The header's version field is the checksum version of every record in
+the file (see :mod:`repro.storage.integrity`).  A new journal is written
+at the current version; an existing one keeps its version — its records
+are verified, and further appends stamped, with that version's checksum
+— until a checkpoint rewrites the header at the current version.
 """
 
 from __future__ import annotations
@@ -25,7 +31,12 @@ import os
 import struct
 from typing import BinaryIO, Callable, Iterator
 
-from .integrity import crc32c
+from .integrity import (
+    CHECKSUM_VERSION,
+    CHECKSUM_VERSIONS,
+    checksum,
+    unsupported_version,
+)
 
 __all__ = ["JournalError", "WriteJournal", "journal_path",
            "journal_has_records"]
@@ -34,7 +45,6 @@ _FILE_MAGIC = 0x4C4E4A52   # "RJNL" little-endian
 _RECORD_MAGIC = 0x43524A52  # "RJRC" little-endian
 _FILE_HEADER = struct.Struct("<IHHI")   # magic, version, reserved, page_size
 _RECORD_HEADER = struct.Struct("<IqI")  # magic, page_id, payload crc
-_VERSION = 1
 
 
 class JournalError(RuntimeError):
@@ -81,28 +91,36 @@ class WriteJournal:
         exists = os.path.exists(self.path)
         self._file = open(self.path, "r+b" if exists else "w+b")
         if exists and os.fstat(self._file.fileno()).st_size >= _FILE_HEADER.size:
-            self._check_header()
+            version = self._check_header()
         else:
-            self._file.write(_FILE_HEADER.pack(_FILE_MAGIC, _VERSION, 0,
-                                               page_size))
-            self._file.flush()
+            self._write_header()
+            version = CHECKSUM_VERSION
+        #: Checksum version of every record in the file.
+        self.version = version
         self._file.seek(0, os.SEEK_END)
 
-    def _check_header(self) -> None:
+    def _write_header(self) -> None:
+        self._file.seek(0)
+        self._file.write(_FILE_HEADER.pack(_FILE_MAGIC, CHECKSUM_VERSION, 0,
+                                           self.page_size))
+        self._file.flush()
+
+    def _check_header(self) -> int:
         self._file.seek(0)
         head = self._file.read(_FILE_HEADER.size)
         magic, version, _, page_size = _FILE_HEADER.unpack(head)
         if magic != _FILE_MAGIC:
             raise JournalError(f"{self.path}: not a page journal "
                                f"(magic 0x{magic:08x})")
-        if version != _VERSION:
-            raise JournalError(f"{self.path}: unsupported journal "
-                               f"version {version}")
+        if version not in CHECKSUM_VERSIONS:
+            raise JournalError(
+                f"{self.path}: {unsupported_version('journal', version)}")
         if page_size != self.page_size:
             raise JournalError(
                 f"{self.path}: journal page size {page_size} != "
                 f"store page size {self.page_size}"
             )
+        return int(version)
 
     # -- writing --------------------------------------------------------------
 
@@ -114,16 +132,21 @@ class WriteJournal:
                 f"journal record for page {page_id}: {len(image)} bytes, "
                 f"page size is {self.page_size}"
             )
-        record = _RECORD_HEADER.pack(_RECORD_MAGIC, page_id,
-                                     crc32c(image)) + image
+        record = _RECORD_HEADER.pack(
+            _RECORD_MAGIC, page_id,
+            checksum(image, version=self.version)) + image
         self._write_fn(self._file, record)
         self._file.flush()
         if self.sync:
             os.fsync(self._file.fileno())
 
     def checkpoint(self) -> None:
-        """Drop all records: the guarded in-place writes are now durable."""
+        """Drop all records: the guarded in-place writes are now durable.
+        An older-version header is rewritten at the current version."""
         self._file.truncate(_FILE_HEADER.size)
+        if self.version != CHECKSUM_VERSION:
+            self._write_header()
+            self.version = CHECKSUM_VERSION
         self._file.seek(_FILE_HEADER.size)
         self._file.flush()
         if self.sync:
@@ -147,7 +170,8 @@ class WriteJournal:
             if magic != _RECORD_MAGIC:
                 return
             image = self._file.read(self.page_size)
-            if len(image) < self.page_size or crc32c(image) != crc:
+            if (len(image) < self.page_size
+                    or checksum(image, version=self.version) != crc):
                 return
             yield page_id, image
         # not reached

@@ -20,7 +20,7 @@ Durability (opt-in, :class:`FilePageStore` only)
 A raw partition also means raw failure modes, so the file store has an
 opt-in durability layer — see ``docs/durability.md`` for the protocol:
 
-* ``checksums=True`` stamps a CRC32C trailer (page id + format version)
+* ``checksums=True`` stamps a checksum trailer (page id + format version)
   into every page's padding and verifies it on every read, so a flipped
   bit or torn page is a loud :class:`~repro.storage.integrity.ChecksumError`
   instead of silently decoded garbage.
@@ -300,7 +300,7 @@ class FilePageStore(PageStore):
     Parameters
     ----------
     checksums:
-        Stamp and verify a CRC32C trailer on every page (reduces
+        Stamp and verify a checksum trailer on every page (reduces
         :attr:`payload_size` by the trailer size).
     journal:
         Double-write journal every page update; replay/discard on open.

@@ -186,7 +186,7 @@ class TestFsckCli:
             store.raw_write(0, flip_bit(store.raw_read(0), 123))
         code = main(["fsck", str(path), "--no-manifest"])
         assert code == 1
-        assert "CRC32C mismatch" in capsys.readouterr().out
+        assert "checksum mismatch" in capsys.readouterr().out
 
     def test_plain_file_with_meta_flag(self, tmp_path, rects, capsys):
         path = tmp_path / "plain.pages"

@@ -1,4 +1,4 @@
-"""Unit tests for CRC32C, page trailers, superblocks, and the journal."""
+"""Unit tests for the checksums, page trailers, superblocks, and the journal."""
 
 import os
 
@@ -57,7 +57,7 @@ class TestTrailer:
     def test_trailer_info_fields(self):
         info = trailer_info(stamp_trailer(self._page(), 42))
         assert info["page_id"] == 42
-        assert info["version"] == 1
+        assert info["version"] == 2
 
     def test_unstamped_page_is_rejected(self):
         with pytest.raises(ChecksumError, match="no checksum trailer"):
@@ -71,7 +71,7 @@ class TestTrailer:
     def test_any_payload_bit_flip_detected(self):
         stamped = bytearray(stamp_trailer(self._page(), 0))
         stamped[17] ^= 0x10
-        with pytest.raises(ChecksumError, match="CRC32C mismatch"):
+        with pytest.raises(ChecksumError, match="checksum mismatch"):
             verify_trailer(bytes(stamped), 0)
 
     def test_source_named_in_error(self):
@@ -108,7 +108,7 @@ class TestSuperblock:
     def test_corrupt_crc_rejected(self):
         data = bytearray(Superblock(page_size=PAGE).encode())
         data[8] ^= 1
-        with pytest.raises(SuperblockError, match="CRC32C mismatch"):
+        with pytest.raises(SuperblockError, match="checksum mismatch"):
             Superblock.decode(bytes(data))
 
     def test_wrong_magic_rejected(self):

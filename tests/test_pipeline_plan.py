@@ -27,7 +27,7 @@ from repro.pipeline.staging import (
     StagingDir,
     atomic_write_bytes,
     check_record_crc,
-    file_crc32c,
+    file_checksum,
     record_crc,
 )
 
@@ -121,7 +121,7 @@ def test_plan_load_rejects_corruption(tmp_path, rng):
 def test_atomic_write_and_record_crc(tmp_path):
     path = tmp_path / "blob.bin"
     atomic_write_bytes(path, b"hello durability")
-    crc, size = file_crc32c(path)
+    crc, size = file_checksum(path)
     assert size == 16
     assert not any(".tmp-" in name for name in os.listdir(tmp_path))
 
