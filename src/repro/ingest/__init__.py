@@ -23,7 +23,7 @@ from .merge import (
     resolve_current,
     sweep_drained,
 )
-from .overlay import OverlayResult, OverlaySearcher
+from .overlay import OverlaySearcher
 from .state import DEFAULT_WAL_LIMIT, IngestState
 from .wal import (
     WAL_FORMAT,
@@ -44,7 +44,6 @@ __all__ = [
     "IngestError",
     "IngestState",
     "MergeReport",
-    "OverlayResult",
     "OverlaySearcher",
     "WAL_FORMAT",
     "WalCorrupt",

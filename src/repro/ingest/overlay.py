@@ -9,13 +9,17 @@ an id mentioned by a later layer (upserted *or* tombstoned) shadows
 every earlier layer's answer for that id.
 
 Window and point queries run the base search through the full serving
-hook set (deadlines, quarantine, degraded reads) and union in each
+hook set (deadlines, quarantine, degraded reads) and add in each
 layer's R*-tree hits, dropping shadowed ids.  kNN over-fetches from
 the base (``k`` plus the total shadowed-id count bounds how many base
 neighbours can be invalidated), brute-forces the small deltas with the
 same vectorized MINDIST the paged walk uses, and merges by
-``(distance, id)`` — a total order, so overlay kNN is deterministic
-even under distance ties.
+``(distance, id)`` — the order the paged kNN walk itself returns, so
+overlay kNN equals a rebuild even under distance ties.
+
+An overlay with no layers hands back the base walk's result untouched:
+it is how read-only servers and pool workers answer through the same
+executor as ingest servers (:mod:`repro.serve.query`).
 
 Degradation composes honestly: ``partial`` / ``skipped_subtrees`` come
 from the base walk (deltas are in-memory and never degrade), so a
@@ -25,35 +29,27 @@ answer — it never fabricates.
 
 from __future__ import annotations
 
-from typing import Callable, Container, Sequence
+import dataclasses
+from typing import Any, Sequence
+
+import numpy as np
 
 from ..core.geometry import Rect
 from ..rtree.knn import KnnResult, knn_detailed
-from ..rtree.paged import PagedSearcher
+from ..rtree.paged import PagedSearcher, SearchResult
 from .delta import DeltaTree
 
-__all__ = ["OverlayResult", "OverlaySearcher"]
-
-
-class OverlayResult:
-    """Outcome of one overlay window/point query.
-
-    ``ids`` is sorted ascending.  ``partial``/``skipped_subtrees``
-    mirror :class:`~repro.rtree.paged.SearchResult` and describe the
-    base-tree walk only.
-    """
-
-    __slots__ = ("ids", "partial", "skipped_subtrees")
-
-    def __init__(self, ids: list[int], partial: bool,
-                 skipped_subtrees: int):
-        self.ids = ids
-        self.partial = partial
-        self.skipped_subtrees = skipped_subtrees
+__all__ = ["OverlaySearcher"]
 
 
 class OverlaySearcher:
-    """Compose a packed-tree searcher with ordered delta layers."""
+    """Compose a packed-tree searcher with ordered delta layers.
+
+    The query methods take the serving hooks of
+    :meth:`~repro.rtree.paged.PagedSearcher.search_detailed`
+    (``check``, ``quarantined``, ``degraded``, ``on_page_error``, and
+    ``root_page`` for window queries) and apply them to the base walk.
+    """
 
     def __init__(self, searcher: PagedSearcher,
                  layers: Sequence[DeltaTree] = ()):
@@ -76,78 +72,35 @@ class OverlaySearcher:
 
     # -- window / point ----------------------------------------------------
 
-    def search_detailed(
-        self,
-        query: Rect,
-        *,
-        check: Callable[[], None] | None = None,
-        quarantined: Container[int] | None = None,
-        degraded: bool = False,
-        on_page_error: Callable[[int, Exception], None] | None = None,
-    ) -> OverlayResult:
-        """Window query over base ∪ layers − tombstones (sorted ids)."""
-        base = self.searcher.search_detailed(
-            query, check=check, quarantined=quarantined,
-            degraded=degraded, on_page_error=on_page_error)
+    def search_detailed(self, query: Rect, **hooks: Any) -> SearchResult:
+        """Window query over base ∪ layers − tombstones (ids unsorted)."""
+        base = self.searcher.search_detailed(query, **hooks)
+        if not self.layers:
+            return base
         shadowed = self._shadowed()
-        out = {int(i) for i in base.ids if int(i) not in shadowed}
+        ids = [i for i in base.ids.tolist() if i not in shadowed]
         for index, layer in enumerate(self.layers):
             hidden = self._shadowed_above(index)
-            for data_id in layer.search(query):
-                if data_id not in hidden:
-                    out.add(int(data_id))
-        return OverlayResult(sorted(out), base.partial,
-                             base.skipped_subtrees)
-
-    def point_detailed(
-        self,
-        point: Sequence[float],
-        *,
-        check: Callable[[], None] | None = None,
-        quarantined: Container[int] | None = None,
-        degraded: bool = False,
-        on_page_error: Callable[[int, Exception], None] | None = None,
-    ) -> OverlayResult:
-        """Point query (degenerate-window) through the overlay."""
-        return self.search_detailed(
-            Rect.from_point(tuple(float(c) for c in point)),
-            check=check, quarantined=quarantined, degraded=degraded,
-            on_page_error=on_page_error)
+            ids.extend(i for i in layer.search(query) if i not in hidden)
+        return dataclasses.replace(base, ids=np.array(ids, dtype=np.int64))
 
     # -- kNN ---------------------------------------------------------------
 
-    def knn_detailed(
-        self,
-        point: Sequence[float],
-        k: int,
-        *,
-        check: Callable[[], None] | None = None,
-        quarantined: Container[int] | None = None,
-        degraded: bool = False,
-        on_page_error: Callable[[int, Exception], None] | None = None,
-    ) -> KnnResult:
-        """k nearest neighbours over the overlay.
-
-        Neighbours come back ordered by ``(distance, id)`` — the same
-        answer, in the same order, a rebuilt packed tree would produce
-        once its heap-order ties are normalised the same way.
-        """
+    def knn_detailed(self, point: Sequence[float], k: int,
+                     **hooks: Any) -> KnnResult:
+        """k nearest neighbours over the overlay, in ``(distance, id)``
+        order — the answer a rebuilt packed tree gives."""
+        if not self.layers:
+            return knn_detailed(self.searcher, point, k, **hooks)
         shadowed = self._shadowed()
-        base = knn_detailed(
-            self.searcher, point, k + len(shadowed),
-            check=check, quarantined=quarantined, degraded=degraded,
-            on_page_error=on_page_error)
-        merged: list[tuple[float, int]] = [
-            (float(dist), int(data_id))
-            for data_id, dist in base.neighbours
-            if int(data_id) not in shadowed
-        ]
+        base = knn_detailed(self.searcher, point, k + len(shadowed),
+                            **hooks)
+        merged = [(dist, data_id) for data_id, dist in base.neighbours
+                  if data_id not in shadowed]
         for index, layer in enumerate(self.layers):
             hidden = self._shadowed_above(index)
-            for data_id, dist in layer.knn_candidates(point,
-                                                      exclude=hidden):
-                merged.append((dist, data_id))
+            merged.extend((dist, data_id) for data_id, dist
+                          in layer.knn_candidates(point, exclude=hidden))
         merged.sort()
         neighbours = [(data_id, dist) for dist, data_id in merged[:k]]
-        return KnnResult(neighbours, base.partial,
-                         base.skipped_subtrees)
+        return KnnResult(neighbours, base.partial, base.skipped_subtrees)

@@ -59,7 +59,7 @@ class WorkerPicklability(Rule):
     invariant = ("spawn-crossing worker modules hold no module-global "
                  "mutable state and nothing unpicklable under spawn")
     path_fragments = ("repro/pipeline/worker.py", "repro/serve/pool.py",
-                      "repro/serve/supervisor.py")
+                      "repro/serve/query.py", "repro/serve/supervisor.py")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for stmt in ctx.tree.body:

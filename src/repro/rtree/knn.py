@@ -58,7 +58,7 @@ def knn(searcher: PagedSearcher, point: Sequence[float], k: int
         ) -> list[tuple[int, float]]:
     """The ``k`` data rectangles nearest to ``point``.
 
-    Returns ``(data_id, distance)`` pairs in non-decreasing distance order.
+    Returns ``(data_id, distance)`` pairs in ``(distance, id)`` order.
     Distance is Euclidean point-to-rectangle (zero inside a rectangle).
     Page fetches are charged to the searcher's stats like any query.
     """
@@ -74,7 +74,6 @@ def knn_detailed(
     quarantined: Container[int] | None = None,
     degraded: bool = False,
     on_page_error: Callable[[int, Exception], None] | None = None,
-    root_page: int | None = None,
 ) -> KnnResult:
     """kNN with the serving-layer hooks of
     :meth:`~repro.rtree.paged.PagedSearcher.search_detailed`.
@@ -82,10 +81,11 @@ def knn_detailed(
     ``check`` runs between heap expansions (cooperative deadline
     cancellation); ``quarantined`` subtrees are skipped without I/O;
     ``degraded=True`` absorbs page failures as skipped subtrees instead
-    of failing the query, reporting each through ``on_page_error``;
-    ``root_page`` starts the walk at a subtree instead of the tree root
-    (scatter-gather dispatch) — the result is then the subtree-local
-    top-k, which the gatherer merges.
+    of failing the query, reporting each through ``on_page_error``.
+
+    Neighbours come back as the ``k`` smallest by ``(distance, id)``:
+    ties, even ones straddling ``k``, break on the data id, so every
+    tree over the same rectangles gives the same answer.
     """
     if k < 1:
         raise GeometryError(f"k must be >= 1, got {k}")
@@ -98,17 +98,19 @@ def knn_detailed(
 
     results: list[tuple[int, float]] = []
     skipped = 0
-    counter = itertools.count()  # tie-breaker: heap never compares payloads
-    # Heap entries: (distance, seq, kind, payload); kind 0 = node, 1 = object.
+    pushes = itertools.count()
+    # Heap entries: (distance, kind, tie, payload); kind 0 = node, 1 =
+    # object.  At equal distance nodes pop first, so when an object pops
+    # every object as near is already queued; objects then tie on their
+    # data id (tie == payload), nodes on push order.
     heap: list[tuple[float, int, int, int]] = [
-        (0.0, next(counter), 0,
-         tree.root_page if root_page is None else root_page)
+        (0.0, 0, next(pushes), tree.root_page)
     ]
     # The walk span nests the buffer's read/decode spans, so kNN reports
     # the same decode-vs-walk self-time split as region queries.
     with obs.span("query.knn"), obs.span("query.node_walk"):
         while heap and len(results) < k:
-            dist, _, kind, payload = heapq.heappop(heap)
+            dist, kind, _, payload = heapq.heappop(heap)
             if kind == 1:
                 results.append((payload, dist))
                 continue
@@ -128,8 +130,7 @@ def knn_detailed(
                 continue
             dists = _min_dists(node.rects.los, node.rects.his, q)
             child_kind = 1 if node.is_leaf else 0
-            for d, child in zip(dists, node.children):
-                heapq.heappush(
-                    heap, (float(d), next(counter), child_kind, int(child))
-                )
+            for d, child in zip(dists.tolist(), node.children.tolist()):
+                tie = child if child_kind else next(pushes)
+                heapq.heappush(heap, (d, child_kind, tie, child))
     return KnnResult(results, skipped > 0, skipped)

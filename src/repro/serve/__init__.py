@@ -15,6 +15,9 @@ never silently wrong.
   cooperative cancellation hook;
 * :mod:`~repro.serve.admission` — bounded in-flight work plus a
   shed-on-full FIFO queue;
+* :mod:`~repro.serve.query` — the one query executor: request
+  validation, execution through an overlay searcher, and the scatter
+  shard merge, shared by every serving path;
 * :mod:`~repro.serve.server` — :class:`QueryServer`: asyncio sockets,
   circuit-breaker-guarded reads, degraded (``partial=true``) responses,
   runtime page quarantine, health endpoints, and zero-downtime

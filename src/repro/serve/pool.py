@@ -34,7 +34,7 @@ flagged), or a **typed error** — never silently wrong.
   in-process against the *new* generation), every worker re-opens the
   new generation file, and the pool rejoins — clients never see the
   cutover, only the ``generation`` counter moving.
-* :meth:`WorkerPool.scatter` fans one query out across the root's
+* :meth:`WorkerPool.scatter` fans one window query out across root
   subtrees with per-shard deadlines (the multi-disk
   :class:`~repro.storage.striped.StripedPageStore` layout's
   shared-nothing future-work section, served for real): a shard whose
@@ -42,9 +42,13 @@ flagged), or a **typed error** — never silently wrong.
   comes back ``partial=true`` with the lost subtrees counted in
   ``unreachable_subtrees``.
 
-Everything a child process touches lives at module top level
-(:func:`worker_main`, :class:`TreeSpec`) and is picklable, so the pool
-works identically under ``fork`` and ``spawn`` start methods.
+Workers answer through the same executor as the in-process server
+(:func:`repro.serve.query.execute` on an
+:class:`~repro.ingest.overlay.OverlaySearcher` with no layers), so a
+pooled answer is byte-for-byte the in-process one.  Everything a child
+process touches lives at module top level (:func:`worker_main`,
+:class:`TreeSpec`) and is picklable, so the pool works identically
+under ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from ..core.geometry import GeometryError
+from ..ingest.overlay import OverlaySearcher
 from ..obs import runtime as obs
 from ..storage.store import StoreError
 from .deadline import Deadline
@@ -68,8 +73,8 @@ from .protocol import (
     DeadlineExceeded,
     ServeError,
     WorkerLost,
-    rect_from_wire,
 )
+from . import query
 from .supervisor import FlapDetector, RestartBackoff, WorkerState
 
 __all__ = ["TreeSpec", "WorkerPool", "PoolUnavailable", "worker_main"]
@@ -143,8 +148,9 @@ def _backing_paths(store: Any) -> list[str] | None:
     return None
 
 
-def _open_spec(spec: TreeSpec) -> tuple[Any, Any]:
-    """(searcher, store) for one generation, opened read-only via mmap."""
+def _open_spec(spec: TreeSpec) -> tuple[OverlaySearcher, Any]:
+    """(searcher, store) for one generation, opened read-only via mmap;
+    the searcher is an overlay with no layers, as the executor takes."""
     from ..rtree.paged import PagedRTree
     from ..storage.mmap_store import MmapPageStore
     from ..storage.striped import StripedPageStore
@@ -161,57 +167,7 @@ def _open_spec(spec: TreeSpec) -> tuple[Any, Any]:
                       height=int(meta["height"]), ndim=int(meta["ndim"]),
                       capacity=int(meta["capacity"]),
                       size=int(meta["size"]))
-    return tree.searcher(spec.buffer_pages), store
-
-
-def _run_query(searcher: Any, payload: dict,
-               quarantine: set[int]) -> dict:
-    """Execute one query payload against a worker-local searcher."""
-    from ..rtree.knn import knn_detailed
-
-    op = payload["op"]
-    deadline = Deadline.after(float(payload["budget_s"]))
-    degraded = bool(payload.get("degraded", True))
-    degraded_pages = 0
-
-    def note(page_id: int, exc: Exception) -> None:
-        nonlocal degraded_pages
-        degraded_pages += 1
-        if type(exc).__name__ in ("IntegrityError", "ChecksumError",
-                                  "PageFormatError"):
-            quarantine.add(page_id)
-
-    if op == "knn":
-        point = payload["point"]
-        res = knn_detailed(searcher, [float(x) for x in point],
-                           int(payload["k"]), check=deadline.check,
-                           quarantined=quarantine, degraded=degraded,
-                           on_page_error=note,
-                           root_page=payload.get("root_page"))
-        return {
-            "ids": [int(i) for i, _ in res.neighbours],
-            "distances": [float(d) for _, d in res.neighbours],
-            "count": len(res.neighbours),
-            "partial": res.partial,
-            "unreachable": res.skipped_subtrees,
-            "degraded_pages": degraded_pages,
-        }
-    rect = rect_from_wire(payload["rect"])
-    result = searcher.search_detailed(
-        rect, check=deadline.check, quarantined=quarantine,
-        degraded=degraded, on_page_error=note,
-        root_page=payload.get("root_page"),
-    )
-    ids = sorted(int(x) for x in result.ids)
-    out = {
-        "count": len(ids),
-        "partial": result.partial,
-        "unreachable": result.skipped_subtrees,
-        "degraded_pages": degraded_pages,
-    }
-    if op != "count":
-        out["ids"] = ids
-    return out
+    return OverlaySearcher(tree.searcher(spec.buffer_pages)), store
 
 
 def worker_main(conn: Any, spec: TreeSpec) -> None:
@@ -262,7 +218,9 @@ def worker_main(conn: Any, spec: TreeSpec) -> None:
             if kind == "search":
                 req_id, payload = msg[1], msg[2]
                 try:
-                    result = _run_query(searcher, payload, quarantine)
+                    deadline = Deadline.after(float(payload["budget_s"]))
+                    result = query.execute(searcher, payload,
+                                           deadline.check, quarantine)
                 except ServeError as exc:
                     conn.send(("error", req_id, exc.code, str(exc)))
                 except GeometryError as exc:
@@ -706,68 +664,33 @@ class WorkerPool:
         proc.kill()  # reader sees EOF -> normal death path
 
     async def scatter(self, payload: dict, deadline: Deadline,
-                      roots: Sequence[int]) -> dict:
-        """Fan one query out across subtree roots; merge with honesty.
+                      roots: Sequence[int]) -> list[dict | None]:
+        """Run ``payload`` once per subtree root; gather the shard bodies.
 
         Each subtree is an independent request with the full remaining
-        deadline; a subtree whose worker is lost (twice) or whose shard
-        is unreachable degrades to ``partial=true`` with that subtree
-        counted — the merged result under-reports, never fabricates.
+        deadline.  A shard whose worker is lost (twice), or that fails
+        with another typed error, comes back as ``None``: unreachable,
+        for :func:`~repro.serve.query.merge_shards` to count, so the
+        merged answer under-reports, never fabricates.
         ``DeadlineExceeded`` and :class:`PoolUnavailable` stay fatal:
         the former because late answers are worthless, the latter so
         the server's in-process fallback can still produce a *complete*
         answer.
         """
-        if not roots:
-            return await self.execute(payload, deadline)
-        tasks = [
-            asyncio.ensure_future(
-                self.execute(dict(payload, root_page=int(root)), deadline))
-            for root in roots
-        ]
-        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-        merged_ids: list[int] = []
-        pairs: list[tuple[float, int]] = []
-        count = 0
-        partial = False
-        unreachable = 0
-        degraded_pages = 0
+        outcomes = await asyncio.gather(
+            *(self.execute(dict(payload, root_page=int(root)), deadline)
+              for root in roots),
+            return_exceptions=True)
+        shards: list[dict | None] = []
         for outcome in outcomes:
             if isinstance(outcome, (DeadlineExceeded, PoolUnavailable)):
                 raise outcome
             if isinstance(outcome, BaseException):
-                # WorkerLost (or another typed shard failure): that
-                # subtree is unreachable, the rest of the answer stands.
-                partial = True
-                unreachable += 1
                 obs.inc("serve.pool.scatter_shard_lost")
-                continue
-            partial = partial or bool(outcome.get("partial"))
-            unreachable += int(outcome.get("unreachable", 0))
-            degraded_pages += int(outcome.get("degraded_pages", 0))
-            count += int(outcome.get("count", 0))
-            if payload["op"] == "knn":
-                pairs.extend(zip(outcome.get("distances", ()),
-                                 outcome.get("ids", ())))
-            elif "ids" in outcome:
-                merged_ids.extend(outcome["ids"])
-        out: dict[str, Any] = {
-            "partial": partial,
-            "unreachable": unreachable,
-            "degraded_pages": degraded_pages,
-        }
-        if payload["op"] == "knn":
-            pairs.sort()
-            top = pairs[:int(payload["k"])]
-            out["ids"] = [int(i) for _, i in top]
-            out["distances"] = [float(d) for d, _ in top]
-            out["count"] = len(top)
-        else:
-            merged_ids.sort()
-            out["count"] = count
-            if payload["op"] != "count":
-                out["ids"] = merged_ids
-        return out
+                shards.append(None)
+            else:
+                shards.append(outcome)
+        return shards
 
     # -- generation reload -------------------------------------------------
 

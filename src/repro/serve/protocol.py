@@ -23,7 +23,8 @@ Error response::
 
 Operations: ``search`` (region query), ``point`` (point query), ``count``
 (match count only), ``knn`` (``point`` + ``k``; ``ids`` come back in
-non-decreasing distance order with a parallel ``distances`` list),
+``(distance, id)`` order — equal distances ascend by id — with a
+parallel ``distances`` list),
 ``healthz`` / ``readyz`` / ``stats`` (health payloads in ``data``),
 ``ping``, and the admin op ``reload`` (``path`` names a freshly built
 durable tree file; the server fsck-verifies it and swaps generations
@@ -40,6 +41,11 @@ WAL exceeds its bound the server sheds writes with the typed
 ``IngestOverloaded`` error *before* logging anything (reads are never
 shed); a failed merge comes back as ``MergeFailed`` with the old
 generation still serving.
+
+Window ops return ``ids`` in ascending order.  Every serving path
+(in-process, ``--workers``, ``--scatter``, ``--ingest``) runs the same
+executor (:mod:`repro.serve.query`), so a request gets the same
+response bytes, ``elapsed_s`` aside, whichever path answers it.
 
 ``partial=true`` marks a degraded read: some subtrees were unreachable
 (corrupt, quarantined, behind an open circuit breaker, or lost with a
@@ -217,7 +223,8 @@ class Response:
     ok: bool
     op: str = ""
     ids: list[int] | None = None
-    #: ``knn`` only: distances parallel to ``ids`` (non-decreasing).
+    #: ``knn`` only: distances parallel to ``ids`` (non-decreasing;
+    #: equal distances list their ids in ascending order).
     distances: list[float] | None = None
     count: int | None = None
     partial: bool = False

@@ -50,8 +50,13 @@ store misbehaves:
   re-dispatched at most once (typed ``WorkerLost`` after that), a
   flapping pool degrades to in-process serving instead of
   crash-looping, and ``reload`` drains + remaps the pool with zero
-  downtime.  ``scatter=True`` additionally fans each query out across
-  the root's subtrees with per-shard degradation.
+  downtime.  ``scatter=True`` additionally fans each window query out
+  across the root subtrees its window reaches, with per-shard
+  degradation.
+
+Every path — in-process, pooled, scattered, overlay — executes queries
+through :mod:`repro.serve.query`, so all of them answer byte-for-byte
+alike.
 
 Concurrency model: asyncio handles sockets and admission; searches run
 on a small thread pool under one lock (the shared file handle and
@@ -74,16 +79,16 @@ from ..ingest.state import IngestState
 from ..ingest.wal import IngestError, WalOp
 from ..obs import runtime as obs
 from ..obs.slo import RollingWindow, SloTarget
-from ..rtree.knn import knn_detailed
 from ..rtree.paged import PagedRTree
 from ..storage.breaker import CircuitBreaker
 from ..storage.integrity import IntegrityError
-from ..storage.page import PageFormatError
+from ..storage.page import NodePage, PageFormatError
 from ..storage.store import StoreError
 from .admission import AdmissionController
 from .deadline import Deadline
 from .health import healthz_payload, readyz_payload, stats_payload
 from .pool import PoolUnavailable, TreeSpec, WorkerPool
+from .query import execute, merge_shards, payload_for
 if TYPE_CHECKING:
     from ..ingest.merge import MergeReport
 
@@ -101,7 +106,6 @@ from .protocol import (
     decode_request,
     encode_response,
     rect_from_wire,
-    rect_to_wire,
 )
 
 __all__ = ["QueryServer"]
@@ -109,10 +113,6 @@ __all__ = ["QueryServer"]
 #: Exceptions from the storage stack that map to the ``StoreUnavailable``
 #: wire code when degraded reads could not absorb them.
 _STORE_FAILURES = (StoreError, IntegrityError, PageFormatError, OSError)
-
-#: Page failures that are the *page's* fault (vs. the device's): these
-#: are deterministic, so the page joins the runtime quarantine.
-_QUARANTINABLE = (IntegrityError, PageFormatError)
 
 
 class QueryServer:
@@ -202,7 +202,7 @@ class QueryServer:
         self.pool_fallbacks = 0
         self.pool_start_error: str | None = None
         self.reload_draining = False
-        self._scatter_roots: tuple[int, ...] = ()
+        self._scatter_root: NodePage | None = None
 
     def stats_snapshot(self) -> dict:
         """The ``stats`` payload as a plain dict, callable off-protocol.
@@ -262,16 +262,19 @@ class QueryServer:
                   else self.default_deadline_s)
         deadline = Deadline.after(min(budget, self.max_deadline_s),
                                   self.clock)
-        payload = self._query_payload(req)
+        payload = payload_for(req, self.tree.ndim, self.degraded)
 
         await self.admission.acquire()
         try:
             # Re-check after any queue wait: a request that expired while
             # queued must not start a tree walk.
             deadline.check("queued request")
-            result = await self._dispatch_query(payload, deadline)
+            body = await self._dispatch_query(payload, deadline)
         finally:
             self.admission.release()
+        for fault in body.pop("faults"):
+            self.degraded_reads += 1
+            obs.inc("serve.degraded_pages", fault=fault)
 
         # The walk finished, but if its deadline passed meanwhile the
         # client has already moved on — never respond after the deadline.
@@ -280,23 +283,11 @@ class QueryServer:
         elapsed = self.clock() - start
         self.latency.observe(elapsed)
         obs.observe("query.latency_s", elapsed)
-        if result["partial"]:
+        if body["partial"]:
             self.partial_total += 1
             obs.inc("serve.partial_responses")
-
-        resp = Response(
-            id=req.id, ok=True, op=req.op,
-            partial=bool(result["partial"]),
-            unreachable_subtrees=int(result["unreachable"]),
-            elapsed_s=elapsed,
-            count=int(result["count"]),
-        )
-        if req.op != "count":
-            resp.ids = [int(x) for x in result.get("ids", ())]
-        if req.op == "knn":
-            resp.distances = [float(d) for d
-                              in result.get("distances", ())]
-        return resp
+        return Response(id=req.id, ok=True, op=req.op, elapsed_s=elapsed,
+                        **body)
 
     async def _dispatch_query(self, payload: dict,
                               deadline: Deadline) -> dict:
@@ -311,21 +302,19 @@ class QueryServer:
                 and pool.generation == self.generation):
             dispatch = dict(payload,
                             budget_s=max(deadline.remaining(), 1e-3))
+            root = self._scatter_root
             try:
-                if self.scatter_enabled and len(self._scatter_roots) > 1:
-                    result = await pool.scatter(dispatch, deadline,
-                                                self._scatter_roots)
-                else:
-                    result = await pool.execute(dispatch, deadline)
+                if root is None or payload["op"] == "knn":
+                    return await pool.execute(dispatch, deadline)
+                # Only the subtrees a full walk would descend into.
+                reached = root.rects.intersects_rect(
+                    rect_from_wire(payload["rect"]))
+                roots = root.children[reached].tolist()
+                shards = await pool.scatter(dispatch, deadline, roots)
+                return merge_shards(payload["op"], shards)
             except PoolUnavailable:
                 self.pool_fallbacks += 1
                 obs.inc("serve.pool.fallbacks")
-            else:
-                hurt = int(result.get("degraded_pages", 0))
-                if hurt:
-                    self.degraded_reads += hurt
-                    obs.inc("serve.degraded_pages", hurt, fault="worker")
-                return result
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._executor, self._run_query_blocking, payload, deadline)
@@ -589,7 +578,7 @@ class QueryServer:
             self.reloads_total += 1
             # Under the lock: the new store has no concurrent readers
             # yet, so the uncounted root-node peek is race-free.
-            self._scatter_roots = self._subtree_roots()
+            self._scatter_root = self._read_scatter_root()
         obs.inc("serve.reloads")
         if old_store is not store:
             try:
@@ -611,121 +600,21 @@ class QueryServer:
                             deadline: Deadline) -> dict:
         """In-process execution (no pool, or pool fallback).
 
-        With ingest enabled, queries answer through an
-        :class:`~repro.ingest.overlay.OverlaySearcher` composed fresh
-        per query (a tuple of references — cheap), so every acked write
-        up to this instant is visible."""
+        The overlay is composed fresh per query (a tuple of references —
+        cheap), so with ingest enabled every acked write up to this
+        instant is visible; without ingest it has no layers.  Pages the
+        walk quarantines join the server's runtime quarantine."""
         with self._search_lock:
-            if self.ingest is not None:
-                overlay = OverlaySearcher(self.searcher,
-                                          self.ingest.layers())
-                if payload["op"] == "knn":
-                    res = overlay.knn_detailed(
-                        payload["point"], payload["k"],
-                        check=deadline.check,
-                        quarantined=self.quarantine,
-                        degraded=self.degraded,
-                        on_page_error=self._note_page_error,
-                    )
-                    return {
-                        "ids": [int(i) for i, _ in res.neighbours],
-                        "distances": [float(d)
-                                      for _, d in res.neighbours],
-                        "count": len(res.neighbours),
-                        "partial": res.partial,
-                        "unreachable": res.skipped_subtrees,
-                    }
-                oresult = overlay.search_detailed(
-                    rect_from_wire(payload["rect"]),
-                    check=deadline.check,
-                    quarantined=self.quarantine,
-                    degraded=self.degraded,
-                    on_page_error=self._note_page_error,
-                )
-                return {
-                    "ids": oresult.ids,
-                    "count": len(oresult.ids),
-                    "partial": oresult.partial,
-                    "unreachable": oresult.skipped_subtrees,
-                }
-            if payload["op"] == "knn":
-                res = knn_detailed(
-                    self.searcher, payload["point"], payload["k"],
-                    check=deadline.check,
-                    quarantined=self.quarantine,
-                    degraded=self.degraded,
-                    on_page_error=self._note_page_error,
-                )
-                return {
-                    "ids": [int(i) for i, _ in res.neighbours],
-                    "distances": [float(d) for _, d in res.neighbours],
-                    "count": len(res.neighbours),
-                    "partial": res.partial,
-                    "unreachable": res.skipped_subtrees,
-                }
-            result = self.searcher.search_detailed(
-                rect_from_wire(payload["rect"]),
-                check=deadline.check,
-                quarantined=self.quarantine,
-                degraded=self.degraded,
-                on_page_error=self._note_page_error,
-            )
-            ids = sorted(int(x) for x in result.ids)
-            return {
-                "ids": ids,
-                "count": len(ids),
-                "partial": result.partial,
-                "unreachable": result.skipped_subtrees,
-            }
-
-    def _query_payload(self, req: Request) -> dict:
-        """Validate a query request into the worker-payload dict the
-        pool and the in-process path both execute."""
-        if req.op == "knn":
-            point = req.point
-            if not isinstance(point, (list, tuple)) or not point:
-                raise BadRequest(
-                    f"op 'knn' needs a point [x, y, ...], got {point!r}")
+            layers = () if self.ingest is None else self.ingest.layers()
+            known = len(self.quarantine)
             try:
-                coords = [float(x) for x in point]
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(f"malformed point {point!r}: {exc}") \
-                    from None
-            if len(coords) != self.tree.ndim:
-                raise BadRequest(
-                    f"point has {len(coords)} dims, tree has "
-                    f"{self.tree.ndim}")
-            if req.k is None:
-                raise BadRequest("op 'knn' needs k >= 1")
-            return {"op": "knn", "point": coords, "k": int(req.k),
-                    "degraded": self.degraded}
-        rect = self._query_rect(req)
-        return {"op": req.op, "rect": rect_to_wire(rect),
-                "degraded": self.degraded}
-
-    def _query_rect(self, req: Request) -> Rect:
-        if req.op == "point":
-            point = req.point
-            if (not isinstance(point, (list, tuple)) or not point):
-                raise BadRequest(
-                    f"op 'point' needs a point [x, y, ...], got {point!r}")
-            try:
-                return Rect.from_point(tuple(float(x) for x in point))
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(f"malformed point {point!r}: {exc}") \
-                    from None
-        if req.rect is None:
-            raise BadRequest(f"op {req.op!r} needs a rect [[lo...], [hi...]]")
-        return rect_from_wire(req.rect)
-
-    def _note_page_error(self, page_id: int, exc: Exception) -> None:
-        self.degraded_reads += 1
-        obs.inc("serve.degraded_pages", fault=type(exc).__name__)
-        if (isinstance(exc, _QUARANTINABLE)
-                and page_id not in self.quarantine):
-            self.quarantine.add(page_id)  # repro-lint: disable=RL011 -- on_page_error callback: every caller is a search already holding _search_lock
-            self.quarantined_runtime += 1  # repro-lint: disable=RL011 -- same: runs under the caller's _search_lock
-            obs.inc("serve.quarantined_pages")
+                return execute(OverlaySearcher(self.searcher, layers),
+                               payload, deadline.check, self.quarantine)
+            finally:
+                added = len(self.quarantine) - known
+                if added:
+                    self.quarantined_runtime += added
+                    obs.inc("serve.quarantined_pages", added)
 
     def _error_response(self, req: Request, code: str,
                         message: str) -> Response:
@@ -750,7 +639,7 @@ class QueryServer:
         """Bring up the worker-process pool, or record why we could not
         (serving then stays in-process — degraded latency, never down)."""
         with self._search_lock:
-            self._scatter_roots = self._subtree_roots()
+            self._scatter_root = self._read_scatter_root()
         if self.workers < 1 or self.pool is not None:
             return
         spec = TreeSpec.for_tree(self.tree,
@@ -772,12 +661,13 @@ class QueryServer:
         self.pool = pool  # repro-lint: disable=RL009 -- start() runs once, before the server accepts clients; no second task exists yet
         self.pool_start_error = None
 
-    def _subtree_roots(self) -> tuple[int, ...]:
-        """Scatter shard roots: the root node's children (uncounted
-        read); empty when the root is a leaf."""
+    def _read_scatter_root(self) -> NodePage | None:
+        """The root node whose children are the scatter shards
+        (uncounted read); ``None`` without scatter or when the root is
+        a leaf."""
         if not self.scatter_enabled or self.tree.height <= 1:
-            return ()
-        return tuple(int(c) for c in self.tree.root_node().children)
+            return None
+        return self.tree.root_node()
 
     async def serve_forever(self) -> None:
         """Block serving clients until cancelled (used by the CLI)."""

@@ -65,21 +65,18 @@ def _assert_overlay_equals_rebuild(overlay, oracle, rng):
     for q in region_queries(0.15, 25, seed=41):
         got = overlay.search_detailed(q)
         assert not got.partial
-        assert got.ids == sorted(
+        assert sorted(got.ids.tolist()) == sorted(
             int(x) for x in oracle_searcher.search(q))
     for p in point_queries(25, seed=42):
-        got = overlay.point_detailed(p.lo)
-        assert got.ids == sorted(
+        got = overlay.search_detailed(Rect.from_point(p.lo))
+        assert sorted(got.ids.tolist()) == sorted(
             int(x) for x in oracle_searcher.point_query(p.lo))
     for _ in range(10):
         point = tuple(rng.random(NDIM))
         k = int(rng.integers(1, 12))
         got = overlay.knn_detailed(point, k)
         want = knn_detailed(oracle_searcher, point, k)
-        # Both orders are normalised to (distance, id); random float
-        # coordinates make cross-boundary distance ties improbable.
-        assert (sorted((d, i) for i, d in got.neighbours)
-                == sorted((d, i) for i, d in want.neighbours))
+        assert got.neighbours == want.neighbours
 
 
 class TestSingleLayer:
@@ -149,3 +146,38 @@ class TestFrozenPlusLive:
         got = overlay.search_detailed(everything)
         assert 1 not in got.ids and 2 in got.ids
         _assert_overlay_equals_rebuild(overlay, oracle, rng)
+
+
+class TestDistanceTies:
+    def test_ties_straddling_k_match_rebuild(self, rng):
+        """Every rectangle is one of a few large overlapping shapes
+        shared by many ids, so kNN distances tie (at zero and beyond)
+        across the k boundary; the overlay must still return exactly the
+        rebuild's neighbours, in the rebuild's order."""
+        shapes = list(_random_entries(rng, range(10)).values())
+        shapes = [(lo, tuple(x + 0.3 for x in lo)) for lo, _ in shapes]
+        oracle = {i: shapes[i % len(shapes)] for i in range(200)}
+        base = _pack(oracle)
+        delta = DeltaTree(NDIM, capacity=8)
+        for step in range(120):
+            data_id = (int(rng.integers(0, 200)) if step % 3
+                       else 10_000 + step)
+            if step % 5 == 4:
+                delta.delete(data_id)
+                oracle.pop(data_id, None)
+            else:
+                lo, hi = shapes[int(rng.integers(0, len(shapes)))]
+                delta.insert(data_id, Rect(lo, hi))
+                oracle[data_id] = (lo, hi)
+        overlay = OverlaySearcher(base.searcher(64), (delta,))
+        _assert_overlay_equals_rebuild(overlay, oracle, rng)
+
+        rebuilt = _pack(oracle).searcher(64)
+        straddling = 0
+        for _ in range(20):
+            point = tuple(rng.random(NDIM))
+            k = int(rng.integers(1, 12))
+            want = knn_detailed(rebuilt, point, k + 1).neighbours
+            straddling += want[k - 1][1] == want[k][1]
+            assert overlay.knn_detailed(point, k).neighbours == want[:k]
+        assert straddling >= 10, "the case must tie across k"

@@ -328,6 +328,7 @@ def test_rl006_only_guards_the_worker_module(engine):
 
 @pytest.mark.parametrize("path", [
     "src/repro/serve/pool.py",
+    "src/repro/serve/query.py",
     "src/repro/serve/supervisor.py",
 ])
 def test_rl006_guards_the_serving_pool_modules(engine, path):

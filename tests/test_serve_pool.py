@@ -330,7 +330,7 @@ class TestServerWithPool:
             async with QueryServer(tree, buffer_pages=64, workers=3,
                                    scatter=True) as server:
                 assert server.pool is not None, server.pool_start_error
-                assert len(server._scatter_roots) > 1
+                assert server._scatter_root.count > 1
                 host, port = server.address
                 async with await QueryClient.connect(host, port) as client:
                     for q in queries:
