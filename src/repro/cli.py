@@ -228,11 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="serve: accept 'reload' admin requests that "
                              "fsck-verify a new tree file and cut over to "
                              "it with zero downtime")
-    parser.add_argument("--scatter", action="store_true",
-                        help="serve: with --workers, fan each query out "
-                             "across the root's subtrees (per-shard "
-                             "degradation: a lost shard yields "
-                             "partial=true, never a wrong answer)")
     parser.add_argument("--ingest", action="store_true",
                         help="serve: accept durable insert/delete writes "
                              "(fsync'd WAL in <tree-file>.ingest/, acked "
@@ -526,7 +521,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser,
         quarantine=quarantine,
         allow_reload=args.allow_reload,
         workers=workers,
-        scatter=args.scatter,
         ingest=ingest_state,
     )
 
@@ -536,8 +530,7 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if workers:
             if server.pool is not None:
                 pool_note = (f", {server.pool.workers_live}/{workers} "
-                             f"worker process(es)"
-                             + (", scatter" if args.scatter else ""))
+                             f"worker process(es)")
             else:
                 pool_note = (f", in-process fallback "
                              f"({server.pool_start_error})")

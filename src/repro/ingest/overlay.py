@@ -47,8 +47,8 @@ class OverlaySearcher:
 
     The query methods take the serving hooks of
     :meth:`~repro.rtree.paged.PagedSearcher.search_detailed`
-    (``check``, ``quarantined``, ``degraded``, ``on_page_error``, and
-    ``root_page`` for window queries) and apply them to the base walk.
+    (``check``, ``quarantined``, ``degraded``, ``on_page_error``) and
+    apply them to the base walk.
     """
 
     def __init__(self, searcher: PagedSearcher,

@@ -81,7 +81,7 @@ LOCK_GUARDS: dict[str, LockGuard] = {
         attrs=frozenset({
             "tree", "searcher", "breaker", "quarantine",
             "quarantined_runtime", "generation", "generation_path",
-            "reloads_total", "_scatter_root",
+            "reloads_total",
         }),
         # IngestState's merge lifecycle documents "call under the
         # search lock": readers must never see a half-frozen layer

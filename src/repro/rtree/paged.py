@@ -303,7 +303,6 @@ class PagedSearcher:
         quarantined: Container[int] | None = None,
         degraded: bool = False,
         on_page_error: Callable[[int, Exception], None] | None = None,
-        root_page: int | None = None,
     ) -> SearchResult:
         """Search with serving-layer hooks; returns a :class:`SearchResult`.
 
@@ -325,11 +324,6 @@ class PagedSearcher:
             Observer called with ``(page_id, exc)`` for every absorbed
             page failure — the server uses it to grow its runtime
             quarantine set.
-        root_page:
-            Start the walk at this page instead of the tree root.  The
-            worker pool's scatter-gather fan-out dispatches one
-            top-level subtree per request this way; results over
-            subtrees union to exactly the full-tree answer.
         """
         if query.ndim != self.tree.ndim:
             raise GeometryError("query dimensionality mismatch")
@@ -343,8 +337,7 @@ class PagedSearcher:
             hits: list[np.ndarray] = []
             skipped = 0
             visited = 0
-            stack = [self.tree.root_page if root_page is None
-                     else root_page]
+            stack = [self.tree.root_page]
             while stack:
                 page_id = stack.pop()
                 if check is not None:

@@ -16,8 +16,8 @@ never silently wrong.
 * :mod:`~repro.serve.admission` — bounded in-flight work plus a
   shed-on-full FIFO queue;
 * :mod:`~repro.serve.query` — the one query executor: request
-  validation, execution through an overlay searcher, and the scatter
-  shard merge, shared by every serving path;
+  validation and execution through an overlay searcher, shared by
+  every serving path;
 * :mod:`~repro.serve.server` — :class:`QueryServer`: asyncio sockets,
   circuit-breaker-guarded reads, degraded (``partial=true``) responses,
   runtime page quarantine, health endpoints, and zero-downtime
@@ -29,8 +29,8 @@ never silently wrong.
 * :mod:`~repro.serve.pool` + :mod:`~repro.serve.supervisor` —
   :class:`WorkerPool`: supervised, crash-isolated worker processes
   sharing generation files read-only via ``mmap``, with at-most-once
-  re-dispatch, exponential-backoff restarts, flap-detection degradation
-  and scatter-gather subtree fan-out.
+  re-dispatch, exponential-backoff restarts and flap-detection
+  degradation.
 
 Servers started with an :class:`~repro.ingest.state.IngestState` also
 accept durable ``insert``/``delete`` writes (acked after WAL fsync,

@@ -34,13 +34,6 @@ flagged), or a **typed error** — never silently wrong.
   in-process against the *new* generation), every worker re-opens the
   new generation file, and the pool rejoins — clients never see the
   cutover, only the ``generation`` counter moving.
-* :meth:`WorkerPool.scatter` fans one window query out across root
-  subtrees with per-shard deadlines (the multi-disk
-  :class:`~repro.storage.striped.StripedPageStore` layout's
-  shared-nothing future-work section, served for real): a shard whose
-  worker dies twice degrades *that shard only* — the merged response
-  comes back ``partial=true`` with the lost subtrees counted in
-  ``unreachable_subtrees``.
 
 Workers answer through the same executor as the in-process server
 (:func:`repro.serve.query.execute` on an
@@ -60,7 +53,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from ..core.geometry import GeometryError
 from ..ingest.overlay import OverlaySearcher
@@ -98,19 +91,16 @@ class PoolUnavailable(Exception):
 class TreeSpec:
     """Everything a worker process needs to open one tree generation.
 
-    Plain data (picklable under ``spawn``): file paths — several paths
-    mean a round-robin stripe recomposed with
-    :class:`~repro.storage.striped.StripedPageStore` — plus the tree
+    Plain data (picklable under ``spawn``): the file path plus the tree
     header, since a worker must never trust an unverified file to
     describe itself beyond what the superblock already commits.
     """
 
-    paths: tuple[str, ...]
+    path: str
     page_size: int | None
     meta: dict  # root_page / height / ndim / capacity / size
     buffer_pages: int
     generation: int
-    verify: bool = True
 
     @classmethod
     def for_tree(cls, tree: Any, *, buffer_pages: int,
@@ -118,8 +108,8 @@ class TreeSpec:
         """Build a spec for a live server tree, or ``None`` when the
         tree is not file-backed (memory stores cannot be re-opened by
         another process)."""
-        paths = _backing_paths(tree.store)
-        if paths is None:
+        path = _backing_path(tree.store)
+        if path is None:
             return None
         meta = {
             "root_page": tree.root_page,
@@ -128,22 +118,19 @@ class TreeSpec:
             "capacity": tree.capacity,
             "size": len(tree),
         }
-        return cls(paths=tuple(paths), page_size=tree.store.page_size,
+        return cls(path=path, page_size=tree.store.page_size,
                    meta=meta, buffer_pages=buffer_pages,
                    generation=generation)
 
 
-def _backing_paths(store: Any) -> list[str] | None:
-    """File path(s) behind a (possibly wrapped) store, else ``None``."""
+def _backing_path(store: Any) -> str | None:
+    """File path behind a (possibly wrapped) store, else ``None``."""
     seen: set[int] = set()
     while store is not None and id(store) not in seen:
         seen.add(id(store))
-        disk_paths = getattr(store, "disk_paths", None)
-        if callable(disk_paths):
-            return disk_paths()
         path = getattr(store, "path", None)
         if path is not None:
-            return [str(path)]
+            return str(path)
         store = getattr(store, "inner", None)
     return None
 
@@ -153,15 +140,8 @@ def _open_spec(spec: TreeSpec) -> tuple[OverlaySearcher, Any]:
     the searcher is an overlay with no layers, as the executor takes."""
     from ..rtree.paged import PagedRTree
     from ..storage.mmap_store import MmapPageStore
-    from ..storage.striped import StripedPageStore
 
-    if len(spec.paths) == 1:
-        store: Any = MmapPageStore(spec.paths[0], spec.page_size,
-                                   verify=spec.verify)
-    else:
-        disks = [MmapPageStore(p, spec.page_size, verify=spec.verify)
-                 for p in spec.paths]
-        store = StripedPageStore(disks)
+    store = MmapPageStore(spec.path, spec.page_size)
     meta = spec.meta
     tree = PagedRTree(store, int(meta["root_page"]),
                       height=int(meta["height"]), ndim=int(meta["ndim"]),
@@ -662,35 +642,6 @@ class WorkerPool:
             f"worker {index} (pid {worker.pid}) killed: unresponsive "
             f"past deadline grace")
         proc.kill()  # reader sees EOF -> normal death path
-
-    async def scatter(self, payload: dict, deadline: Deadline,
-                      roots: Sequence[int]) -> list[dict | None]:
-        """Run ``payload`` once per subtree root; gather the shard bodies.
-
-        Each subtree is an independent request with the full remaining
-        deadline.  A shard whose worker is lost (twice), or that fails
-        with another typed error, comes back as ``None``: unreachable,
-        for :func:`~repro.serve.query.merge_shards` to count, so the
-        merged answer under-reports, never fabricates.
-        ``DeadlineExceeded`` and :class:`PoolUnavailable` stay fatal:
-        the former because late answers are worthless, the latter so
-        the server's in-process fallback can still produce a *complete*
-        answer.
-        """
-        outcomes = await asyncio.gather(
-            *(self.execute(dict(payload, root_page=int(root)), deadline)
-              for root in roots),
-            return_exceptions=True)
-        shards: list[dict | None] = []
-        for outcome in outcomes:
-            if isinstance(outcome, (DeadlineExceeded, PoolUnavailable)):
-                raise outcome
-            if isinstance(outcome, BaseException):
-                obs.inc("serve.pool.scatter_shard_lost")
-                shards.append(None)
-            else:
-                shards.append(outcome)
-        return shards
 
     # -- generation reload -------------------------------------------------
 

@@ -43,15 +43,15 @@ shed); a failed merge comes back as ``MergeFailed`` with the old
 generation still serving.
 
 Window ops return ``ids`` in ascending order.  Every serving path
-(in-process, ``--workers``, ``--scatter``, ``--ingest``) runs the same
-executor (:mod:`repro.serve.query`), so a request gets the same
-response bytes, ``elapsed_s`` aside, whichever path answers it.
+(in-process, ``--workers``, ``--ingest``) runs the same executor
+(:mod:`repro.serve.query`), so a request gets the same response bytes,
+``elapsed_s`` aside, whichever path answers it.
 
 ``partial=true`` marks a degraded read: some subtrees were unreachable
-(corrupt, quarantined, behind an open circuit breaker, or lost with a
-crashed pool worker mid-scatter) and were skipped, so ``ids`` is a
-subset of the true answer — degraded responses under-report, they never
-fabricate.  ``unreachable_subtrees`` counts the skipped subtrees.
+(corrupt, quarantined, or behind an open circuit breaker) and were
+skipped, so ``ids`` is a subset of the true answer — degraded responses
+under-report, they never fabricate.  ``unreachable_subtrees`` counts
+the skipped subtrees.
 
 ``WorkerLost`` is the multi-process pool's honesty error: the worker
 executing the request died, the at-most-once re-dispatch was already
@@ -291,9 +291,13 @@ def decode_request(line: bytes | str) -> Request:
         raise _bad_request(f"path must be a string, got {path!r}", req_id)
     data_id = payload.get("data_id")
     if data_id is not None:
-        if not isinstance(data_id, int) or isinstance(data_id, bool):
+        # Ids are stored as int64 (the delta, the merged tree); reject
+        # the rest here, before a write could reach the WAL.
+        if (not isinstance(data_id, int) or isinstance(data_id, bool)
+                or not -(1 << 63) <= data_id < 1 << 63):
             raise _bad_request(
-                f"data_id must be an integer, got {data_id!r}", req_id)
+                f"data_id must be a 64-bit signed integer, got "
+                f"{data_id!r}", req_id)
     unknown = set(payload) - {"id", "op", "rect", "point", "deadline_s",
                               "k", "path", "data_id"}
     if unknown:

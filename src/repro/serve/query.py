@@ -1,11 +1,10 @@
 """The query executor: one code path from request to response body.
 
 Every way the server answers a query — in-process under the search
-lock, on a pool worker, per subtree under ``--scatter``, and over the
-ingest overlay — runs :func:`execute` on an
-:class:`~repro.ingest.overlay.OverlaySearcher` (one with no layers is
-the packed searcher itself), so all of them give the same answer in the
-same shape:
+lock, on a pool worker, and over the ingest overlay — runs
+:func:`execute` on an :class:`~repro.ingest.overlay.OverlaySearcher`
+(one with no layers is the packed searcher itself), so all of them give
+the same answer in the same shape:
 
 * :func:`payload_for` validates a query
   :class:`~repro.serve.protocol.Request` into a plain (picklable)
@@ -15,9 +14,7 @@ same shape:
   ``knn``, absent for ``count``), ``distances`` (``knn`` only),
   ``count``, ``partial`` and ``unreachable_subtrees`` — plus
   ``faults``, the exception name of every page failure the walk
-  absorbed, which the server pops for its counters;
-* :func:`merge_shards` folds the per-subtree bodies of a scattered
-  window query into that same shape.
+  absorbed, which the server pops for its counters.
 
 Pool workers import this module across ``spawn``, so it holds no
 module-global mutable state (lint rule RL006).
@@ -25,7 +22,7 @@ module-global mutable state (lint rule RL006).
 
 from __future__ import annotations
 
-from typing import Callable, MutableSet, Sequence
+from typing import Callable, MutableSet
 
 import numpy as np
 
@@ -37,7 +34,7 @@ from ..storage.integrity import IntegrityError
 from ..storage.page import PageFormatError
 from .protocol import BadRequest, Request, rect_from_wire, rect_to_wire
 
-__all__ = ["QUARANTINABLE", "execute", "merge_shards", "payload_for"]
+__all__ = ["QUARANTINABLE", "execute", "payload_for"]
 
 #: Page failures that are the *page's* fault (vs. the device's): these
 #: are deterministic, so the page joins the quarantine.
@@ -84,11 +81,9 @@ def execute(searcher: OverlaySearcher, payload: dict,
 
     ``check`` runs between node visits (the request deadline).  The walk
     skips every page in ``quarantine`` and, in degraded mode, adds each
-    page that failed through its own fault (:data:`QUARANTINABLE`).  A
-    ``root_page`` in the payload starts a window walk at that subtree
-    (one scatter shard).  Ids are sorted and made Python ints here, on
-    their way to the wire (the socket, or a worker's pipe); ``count``
-    never builds them.
+    page that failed through its own fault (:data:`QUARANTINABLE`).  Ids
+    are sorted and made Python ints here, on their way to the wire (the
+    socket, or a worker's pipe); ``count`` never builds them.
     """
     faults: list[str] = []
 
@@ -108,8 +103,7 @@ def execute(searcher: OverlaySearcher, payload: dict,
                       "count": len(found.neighbours)}
     else:
         found = searcher.search_detailed(
-            rect_from_wire(payload["rect"]),
-            root_page=payload.get("root_page"), **hooks)
+            rect_from_wire(payload["rect"]), **hooks)
         body = {"count": len(found.ids)}
         if payload["op"] != "count":
             body["ids"] = np.sort(found.ids).tolist()
@@ -117,23 +111,3 @@ def execute(searcher: OverlaySearcher, payload: dict,
                 unreachable_subtrees=found.skipped_subtrees, faults=faults)
     return body
 
-
-def merge_shards(op: str, shards: Sequence[dict | None]) -> dict:
-    """One window-query body from the bodies of its subtree shards.
-
-    The shards walk disjoint subtrees, so counts and unreachable
-    subtrees add up and ids union without duplicates.  A ``None`` shard
-    (its worker lost twice) is one unreachable subtree: the merged body
-    is partial — it under-reports, never fabricates.
-    """
-    done = [s for s in shards if s is not None]
-    lost = len(shards) - len(done)
-    body: dict = {"count": sum(s["count"] for s in done)}
-    if op != "count":
-        body["ids"] = sorted(i for s in done for i in s["ids"])
-    body.update(
-        partial=lost > 0 or any(s["partial"] for s in done),
-        unreachable_subtrees=lost + sum(s["unreachable_subtrees"]
-                                        for s in done),
-        faults=[f for s in done for f in s["faults"]])
-    return body

@@ -50,11 +50,9 @@ store misbehaves:
   re-dispatched at most once (typed ``WorkerLost`` after that), a
   flapping pool degrades to in-process serving instead of
   crash-looping, and ``reload`` drains + remaps the pool with zero
-  downtime.  ``scatter=True`` additionally fans each window query out
-  across the root subtrees its window reaches, with per-shard
-  degradation.
+  downtime.
 
-Every path — in-process, pooled, scattered, overlay — executes queries
+Every path — in-process, pooled, overlay — executes queries
 through :mod:`repro.serve.query`, so all of them answer byte-for-byte
 alike.
 
@@ -82,13 +80,13 @@ from ..obs.slo import RollingWindow, SloTarget
 from ..rtree.paged import PagedRTree
 from ..storage.breaker import CircuitBreaker
 from ..storage.integrity import IntegrityError
-from ..storage.page import NodePage, PageFormatError
+from ..storage.page import PageFormatError
 from ..storage.store import StoreError
 from .admission import AdmissionController
 from .deadline import Deadline
 from .health import healthz_payload, readyz_payload, stats_payload
 from .pool import PoolUnavailable, TreeSpec, WorkerPool
-from .query import execute, merge_shards, payload_for
+from .query import execute, payload_for
 if TYPE_CHECKING:
     from ..ingest.merge import MergeReport
 
@@ -136,7 +134,6 @@ class QueryServer:
         search_workers: int = 2,
         allow_reload: bool = False,
         workers: int = 0,
-        scatter: bool = False,
         pool_seed: int = 0,
         ingest: IngestState | None = None,
     ):
@@ -196,13 +193,11 @@ class QueryServer:
 
         # Multi-process pool (enabled with workers >= 1; see serve.pool).
         self.workers = workers
-        self.scatter_enabled = scatter
         self.pool_seed = pool_seed
         self.pool: WorkerPool | None = None
         self.pool_fallbacks = 0
         self.pool_start_error: str | None = None
         self.reload_draining = False
-        self._scatter_root: NodePage | None = None
 
     def stats_snapshot(self) -> dict:
         """The ``stats`` payload as a plain dict, callable off-protocol.
@@ -302,16 +297,8 @@ class QueryServer:
                 and pool.generation == self.generation):
             dispatch = dict(payload,
                             budget_s=max(deadline.remaining(), 1e-3))
-            root = self._scatter_root
             try:
-                if root is None or payload["op"] == "knn":
-                    return await pool.execute(dispatch, deadline)
-                # Only the subtrees a full walk would descend into.
-                reached = root.rects.intersects_rect(
-                    rect_from_wire(payload["rect"]))
-                roots = root.children[reached].tolist()
-                shards = await pool.scatter(dispatch, deadline, roots)
-                return merge_shards(payload["op"], shards)
+                return await pool.execute(dispatch, deadline)
             except PoolUnavailable:
                 self.pool_fallbacks += 1
                 obs.inc("serve.pool.fallbacks")
@@ -410,10 +397,13 @@ class QueryServer:
         try:
             report = await loop.run_in_executor(
                 self._executor, self._merge_blocking)
-        except IngestError as exc:
+        except Exception as exc:
+            # Any failure before cutover (a typed IngestError, ENOSPC,
+            # a bug) must unfreeze the layers, or every later merge
+            # would answer "already in flight" until restart.
             with self._search_lock:
                 ingest.abort_merge()
-            raise MergeFailed(str(exc)) from None
+            raise MergeFailed(f"{type(exc).__name__}: {exc}") from None
         if report is None:
             with self._search_lock:
                 ingest.abort_merge()
@@ -576,9 +566,6 @@ class QueryServer:
             self.generation += 1
             self.generation_path = path
             self.reloads_total += 1
-            # Under the lock: the new store has no concurrent readers
-            # yet, so the uncounted root-node peek is race-free.
-            self._scatter_root = self._read_scatter_root()
         obs.inc("serve.reloads")
         if old_store is not store:
             try:
@@ -638,8 +625,6 @@ class QueryServer:
     async def _start_pool(self) -> None:
         """Bring up the worker-process pool, or record why we could not
         (serving then stays in-process — degraded latency, never down)."""
-        with self._search_lock:
-            self._scatter_root = self._read_scatter_root()
         if self.workers < 1 or self.pool is not None:
             return
         spec = TreeSpec.for_tree(self.tree,
@@ -660,14 +645,6 @@ class QueryServer:
             return
         self.pool = pool  # repro-lint: disable=RL009 -- start() runs once, before the server accepts clients; no second task exists yet
         self.pool_start_error = None
-
-    def _read_scatter_root(self) -> NodePage | None:
-        """The root node whose children are the scatter shards
-        (uncounted read); ``None`` without scatter or when the root is
-        a leaf."""
-        if not self.scatter_enabled or self.tree.height <= 1:
-            return None
-        return self.tree.root_node()
 
     async def serve_forever(self) -> None:
         """Block serving clients until cancelled (used by the CLI)."""

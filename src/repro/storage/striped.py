@@ -66,15 +66,6 @@ class StripedPageStore(PageStore):
         """The backing stores, in stripe order (read-only view)."""
         return tuple(self._disks)
 
-    def disk_paths(self) -> list[str] | None:
-        """Backing file paths in stripe order, or ``None`` when any disk
-        is not file-backed (memory stores cannot be re-opened by a
-        serving worker process)."""
-        paths = [getattr(d, "path", None) for d in self._disks]
-        if any(p is None for p in paths):
-            return None
-        return [str(p) for p in paths]
-
     @property
     def page_count(self) -> int:
         return self._count

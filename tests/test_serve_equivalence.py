@@ -1,9 +1,9 @@
 """One query executor: every serving path answers byte-for-byte alike.
 
 A seeded stream of ``search``/``point``/``count``/``knn`` requests runs
-against four servers, each over its own copy of one durable tree file:
-in-process, a two-worker pool, the same pool with ``scatter=True``, and
-an ingest server whose delta is empty.  The tree holds heavily
+against three servers, each over its own copy of one durable tree file:
+in-process, a two-worker pool, and an ingest server whose delta is
+empty.  The tree holds heavily
 overlapping squares, so kNN answers tie at distance zero across ``k``,
 and two non-root pages carry a flipped bit, so some answers are
 degraded (``partial=true``).  The encoded responses, with ``elapsed_s``
@@ -38,8 +38,8 @@ SEED = 20_260_417
 
 def _build(path):
     """A durable tree of overlapping squares with two bit-flipped pages:
-    one root child (a whole scatter shard) and one leaf under another
-    root child."""
+    one root child (a whole subtree) and one leaf under another root
+    child."""
     rng = np.random.default_rng(SEED)
     los = rng.random((SQUARES, NDIM)) * (1.0 - SIDE)
     store = FilePageStore(path, PAGE_SIZE, checksums=True, journal=True)
@@ -83,8 +83,6 @@ async def _replay(path, requests, **config):
                                **config) as server:
             if config.get("workers"):
                 assert server.pool is not None, server.pool_start_error
-            if config.get("scatter"):
-                assert server._scatter_root is not None
             lines = []
             for req in requests:
                 resp = await server.handle_request(req)
@@ -107,7 +105,6 @@ def answers(tmp_path_factory):
     configs = {
         "in-process": {},
         "workers=2": {"workers": 2},
-        "workers=2, scatter": {"workers": 2, "scatter": True},
         "ingest, empty delta": {"ingest": True},
     }
     out = {}
@@ -133,8 +130,7 @@ def test_stream_exercises_degraded_answers_and_knn_ties(answers):
     assert straddling >= 10, "distance-0 ties must straddle k"
 
 
-@pytest.mark.parametrize("path", ["workers=2", "workers=2, scatter",
-                                  "ingest, empty delta"])
+@pytest.mark.parametrize("path", ["workers=2", "ingest, empty delta"])
 def test_path_answers_byte_for_byte_like_in_process(answers, path):
     requests, out, _ = answers
     want, got = out["in-process"], out[path]

@@ -5,6 +5,7 @@ writer soak checked against an oracle, and a merge killed mid-re-pack
 then resumed with zero lost acked writes."""
 
 import asyncio
+import errno
 import os
 
 import numpy as np
@@ -229,6 +230,50 @@ class TestMergeCutover:
                     await _assert_oracle_exact(c, oracle)
 
         run(scenario())
+
+    def test_failed_merge_does_not_block_the_next(self, tmp_path,
+                                                   monkeypatch):
+        """A re-pack that fails with a plain ``OSError`` (a full disk)
+        answers ``MergeFailed`` and unfreezes the delta, so the next
+        merge runs instead of answering "already in flight"."""
+        tree_path = str(tmp_path / "tree.rt")
+        oracle = _build_base(tree_path, n=50)
+        tree, state = _open_serving(tree_path)
+        real_merge = QueryServer._merge_blocking
+        failures = []
+
+        def full_disk_once(server):
+            if not failures:
+                failures.append(1)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_merge(server)
+
+        monkeypatch.setattr(QueryServer, "_merge_blocking", full_disk_once)
+
+        async def scenario():
+            async with QueryServer(tree, ingest=state) as server:
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as c:
+                    for i in range(10):
+                        (await c.insert(8000 + i, _rect(8000 + i))
+                         ).raise_for_error()
+                        oracle[8000 + i] = (_rect(8000 + i).lo,
+                                            _rect(8000 + i).hi)
+                    resp = await c.request(Request(op="merge"))
+                    assert resp.error == "MergeFailed"
+                    assert "OSError" in resp.message
+                    assert state.merging is False
+                    assert server.generation == 1
+                    await _assert_oracle_exact(c, oracle)
+
+                    data = await c.merge()
+                    assert data["merged"] is True
+                    assert data["merge"]["ops_applied"] == 10
+                    assert server.generation == 2
+                    await _assert_oracle_exact(c, oracle)
+
+        run(scenario())
+        assert failures == [1]
 
     def test_merge_with_nothing_pending_is_a_noop(self, tmp_path):
         tree_path = str(tmp_path / "tree.rt")

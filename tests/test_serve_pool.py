@@ -1,7 +1,7 @@
 """The supervised worker pool: supervision policy units (fake clock),
 pool answers against the oracle over real processes, crash recovery,
-flap degradation with in-process fallback, drain/remap, scatter, and the
-pool blocks of the health endpoints."""
+flap degradation with in-process fallback, drain/remap, and the pool
+blocks of the health endpoints."""
 
 import asyncio
 import os
@@ -24,7 +24,7 @@ from repro.serve import (
 )
 from repro.serve.deadline import Deadline
 from repro.serve.protocol import rect_to_wire
-from repro.storage import FilePageStore, MemoryPageStore
+from repro.storage import FilePageStore, MemoryPageStore, StripedPageStore
 from repro.storage.integrity import TRAILER_SIZE
 from repro.storage.page import required_page_size
 
@@ -124,16 +124,24 @@ class TestFlapDetector:
 
 
 class TestTreeSpec:
-    def test_memory_backed_tree_has_no_spec(self, rng):
+    def test_memory_backed_tree_has_no_spec(self, tmp_path, rng):
         _, tree = _build(rng, n=300)
         assert TreeSpec.for_tree(tree, buffer_pages=32,
                                  generation=1) is None
+        # A stripe over files has no single path for a worker to mmap:
+        # it serves in-process, like a memory tree.
+        disks = [FilePageStore(tmp_path / f"disk{i}.pages", PAGE_SIZE)
+                 for i in range(2)]
+        _, striped = _build(rng, store=StripedPageStore(disks), n=300)
+        assert TreeSpec.for_tree(striped, buffer_pages=32,
+                                 generation=1) is None
+        striped.store.close()
 
     def test_durable_tree_spec_round_trips(self, tmp_path, rng):
         tree = _durable_tree(tmp_path, rng, n=600)
         spec = TreeSpec.for_tree(tree, buffer_pages=32, generation=7)
         assert spec is not None
-        assert spec.paths == (str(tmp_path / "tree.pages"),)
+        assert spec.path == str(tmp_path / "tree.pages")
         assert spec.generation == 7
         assert spec.meta["root_page"] == tree.root_page
         assert spec.meta["size"] == len(tree)
@@ -317,30 +325,6 @@ class TestServerWithPool:
                     assert resp.ids == [i for i, _ in expected]
                     assert resp.distances == pytest.approx(
                         [d for _, d in expected])
-
-        run(scenario())
-        tree.store.close()
-
-    def test_scatter_mode_matches_oracle(self, tmp_path, rng):
-        tree = _durable_tree(tmp_path, rng)
-        oracle = tree.searcher(256)
-        queries = list(region_queries(0.05, 15, seed=10))
-
-        async def scenario():
-            async with QueryServer(tree, buffer_pages=64, workers=3,
-                                   scatter=True) as server:
-                assert server.pool is not None, server.pool_start_error
-                assert server._scatter_root.count > 1
-                host, port = server.address
-                async with await QueryClient.connect(host, port) as client:
-                    for q in queries:
-                        resp = (await client.search(q)).raise_for_error()
-                        assert resp.ids == sorted(
-                            int(x) for x in oracle.search(q))
-                    resp = (await client.knn([0.3, 0.7], 5)
-                            ).raise_for_error()
-                    assert resp.ids == [
-                        i for i, _ in knn(oracle, [0.3, 0.7], 5)]
 
         run(scenario())
         tree.store.close()

@@ -59,6 +59,10 @@ class TestRequestCodec:
         (b'{"op": "search", "id": 1, "deadline_s": 0}\n', "positive"),
         (b'{"op": "search", "id": 1, "deadline_s": "x"}\n', "positive"),
         (b'{"op": "search", "id": 1, "surprise": 1}\n', "unknown request"),
+        (b'{"op": "delete", "id": 1, "data_id": 9223372036854775808}\n',
+         "64-bit"),
+        (b'{"op": "delete", "id": 1, "data_id": -9223372036854775809}\n',
+         "64-bit"),
     ])
     def test_validation(self, line, fragment):
         with pytest.raises(BadRequest, match=fragment):
