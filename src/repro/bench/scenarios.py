@@ -12,7 +12,7 @@ a circuit breaker onto the shared store.
 Scenario list (the committed BENCH baseline carries one entry each):
 
 ``build``
-    Durable STR bulk load (checksummed, journaled file store).
+    Durable STR bulk load (checksummed file store).
 ``window_1pct`` / ``window_9pct``
     Region queries at the paper's 1%/9% selectivities, cold buffer.
 ``point``
@@ -225,13 +225,13 @@ def _query_scenario(name: str, description: str, ctx: SuiteContext,
 
 
 def scenario_build(ctx: SuiteContext) -> ScenarioResult:
-    """Durable STR bulk load into a checksummed, journaled file store."""
+    """Durable STR bulk load into a checksummed file store."""
     config = ctx.config
     points = uniform_points(config.size, seed=config.seed)
     page_size = (required_page_size(config.capacity, points.ndim)
                  + TRAILER_SIZE)
     path = os.path.join(ctx.workdir, "bench-tree.rt")
-    store = FilePageStore(path, page_size, checksums=True, journal=True)
+    store = FilePageStore(path, page_size, checksums=True)
     tracer = Tracer()
     with obs.telemetry(tracer, MetricsRegistry()):
         with obs.span("bench.build"):
@@ -244,7 +244,7 @@ def scenario_build(ctx: SuiteContext) -> ScenarioResult:
     return ScenarioResult(
         name="build",
         description=(f"STR bulk load of {config.size} uniform points "
-                     "into a durable (CRC + journal) page file"),
+                     "into a durable (CRC) page file"),
         ops=1, elapsed_s=elapsed, latencies_s=[elapsed],
         pages_read=report.build_io.disk_reads,
         bytes_read=report.build_io.disk_reads * store.page_size,

@@ -646,14 +646,12 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
     staging = (args.staging if args.staging is not None
                else f"{args.target}.staging")
     # The output file is written only during final assembly; a leftover
-    # (possibly partial) file from an earlier run is dead weight.  Its
-    # journal sidecar goes with it — a stale journal must never be
-    # replayed into the fresh store.
+    # (possibly partial) file from an earlier run is dead weight, and so
+    # is a journal sidecar an older version may have left beside it.
     for stale in (args.target, journal_path(args.target)):
         if os.path.exists(stale):
             os.remove(stale)
-    store = FilePageStore(args.target, page_size, checksums=True,
-                          journal=True)
+    store = FilePageStore(args.target, page_size, checksums=True)
     try:
         tree, report = parallel_bulk_load(
             points,

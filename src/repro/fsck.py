@@ -4,8 +4,8 @@
 trusted?*  It runs three phases, each strictly weaker failures short-cut:
 
 1. **Open & recover** — locate the superblock (durable stores are
-   self-describing), replay any intact write-journal records, and refuse
-   precisely when the file cannot be opened at all.
+   self-describing), replay any intact records of a legacy write-journal
+   sidecar, and refuse precisely when the file cannot be opened at all.
 2. **Page scan** — read every committed page raw, verify its checksum
    trailer (durable stores), and decode it with the node codec.  Every
    failure is collected, not just the first.  Verified pages are counted
@@ -69,7 +69,6 @@ class FsckReport:
     path: str
     page_size: int = 0
     checksums: bool = False
-    journal: bool = False
     pages_checked: int = 0
     journal_recovered: bool = False
     recovered_pages: int = 0
@@ -112,7 +111,6 @@ class FsckReport:
             "path": self.path,
             "page_size": self.page_size,
             "checksums": self.checksums,
-            "journal": self.journal,
             "pages_checked": self.pages_checked,
             "journal_recovered": self.journal_recovered,
             "recovered_pages": self.recovered_pages,
@@ -136,11 +134,9 @@ class FsckReport:
         if self.fatal is not None:
             lines.append(f"  FATAL: {self.fatal}")
             return "\n".join(lines)
-        flags = [name for name, on in (("checksums", self.checksums),
-                                       ("journal", self.journal)) if on]
         lines.append(
             f"  page size {self.page_size}, "
-            f"durability {'+'.join(flags) if flags else 'none'}, "
+            f"durability {'checksums' if self.checksums else 'none'}, "
             f"{self.pages_checked} pages scanned"
         )
         if self.trailer_versions:
@@ -213,10 +209,10 @@ def fsck(path: str | os.PathLike, *, meta_path: str | os.PathLike | None = None,
     every failure lands in the returned :class:`FsckReport`.
 
     Durable files (superblock present) need no other input: page size,
-    flags and the tree header come from the file, and an intact journal
-    is replayed first (the recovery is reported).  Plain page files need
-    a ``meta_path`` sidecar (or an explicit ``page_size``) since nothing
-    in the file describes it.
+    flags and the tree header come from the file, and the intact records
+    of a legacy journal sidecar are replayed first (the recovery is
+    reported).  Plain page files need a ``meta_path`` sidecar (or an
+    explicit ``page_size``) since nothing in the file describes it.
 
     A streaming-ingest sidecar directory (``<path>.ingest/``) is
     verified whenever one exists — even when the tree file itself is
@@ -252,8 +248,8 @@ def _fsck_store(path: str | os.PathLike, *,
     store: FilePageStore | None = None
     try:
         if durable:
-            # Self-describing: superblock supplies the layout, and opening
-            # with the journal flag replays any crash-interrupted writes.
+            # Self-describing: superblock supplies the layout, and a
+            # legacy journal flag replays any crash-interrupted writes.
             store = FilePageStore.open_existing(path)
         else:
             if page_size is None and sidecar is not None:
@@ -270,7 +266,6 @@ def _fsck_store(path: str | os.PathLike, *,
     try:
         report.page_size = store.page_size
         report.checksums = store.checksums
-        report.journal = store.journal_enabled
         report.journal_recovered = store.recoveries > 0
         report.recovered_pages = store.recovered_pages
 
@@ -328,7 +323,7 @@ def _fsck_store(path: str | os.PathLike, *,
     finally:
         try:
             # A check is read-only: flush (and its superblock commit)
-            # only when opening actually recovered journalled pages —
+            # only when opening actually replayed legacy journal pages —
             # otherwise the file's bytes stay untouched.
             store.close(flush=store.recoveries > 0)
         except (StoreError, OSError):  # pragma: no cover

@@ -199,8 +199,7 @@ def sweep_drained(tree_path: str | os.PathLike[str]) -> int:
         elif ".tmp-" in name:
             stale = True
         elif name.startswith("gen-"):
-            keep = {current, f"{current}.journal" if current else None}
-            stale = full not in keep
+            stale = full != current
         if stale:
             try:
                 os.unlink(full)
@@ -294,8 +293,9 @@ def merge_segments(tree_path: str | os.PathLike[str], *,
 
         new_generation = generation + 1
         out_path = generation_path(dir_path, new_generation)
-        # A killed previous attempt may have left a partial file (and
-        # journal); the rebuild is deterministic, so delete and redo.
+        # A killed previous attempt may have left a partial file (and,
+        # from an older version, a journal sidecar); the rebuild is
+        # deterministic, so delete and redo.
         for leftover in (out_path, journal_path(out_path)):
             try:
                 os.unlink(leftover)
@@ -303,7 +303,7 @@ def merge_segments(tree_path: str | os.PathLike[str], *,
                 pass
         page_size = required_page_size(capacity, ndim) + TRAILER_SIZE
         store = FilePageStore(out_path, page_size, checksums=True,
-                              journal=True, crash_plan=crash_plan)
+                              crash_plan=crash_plan)
         try:
             tree, _ = bulk_load(rects, SortTileRecursive(),
                                 data_ids=ids, capacity=capacity,

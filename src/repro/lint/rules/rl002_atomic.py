@@ -4,17 +4,16 @@ PR 2's durability story and PR 4's resumable staging both hinge on a
 single publication idiom: write to a ``*.tmp-<pid>`` sibling, fsync,
 then ``os.replace`` onto the final name — and on that idiom living in
 a handful of audited helpers.  A raw ``os.rename`` sprinkled anywhere
-else can publish a torn file that fsck then has to distrust, or race
-the journal's recovery sweep.
+else can publish a torn file that fsck then has to distrust.
 
 Flagged: any call to ``os.rename``, ``os.replace``, ``os.renames`` or
 ``shutil.move`` outside the blessed modules.
 
 Blessed (each implements or consumes the fsync-then-rename protocol):
 ``pipeline/staging.py`` (the staging helpers themselves),
-``storage/store.py`` / ``storage/journal.py`` (superblock commit and
-journal rotation), and ``core/packing/external.py`` (external-sort
-spill runs, crash-clean since PR 4).  New publication sites must call
+``storage/store.py`` (superblock commit), and
+``core/packing/external.py`` (external-sort spill runs, crash-clean
+since PR 4).  New publication sites must call
 :func:`repro.pipeline.staging.atomic_write_bytes` and friends instead
 of earning a spot on this list.
 """
@@ -34,7 +33,6 @@ BANNED = ("os.rename", "os.replace", "os.renames", "shutil.move")
 BLESSED = (
     "repro/pipeline/staging.py",
     "repro/storage/store.py",
-    "repro/storage/journal.py",
     "repro/core/packing/external.py",
 )
 

@@ -126,7 +126,6 @@ class DurabilityOrdering(Rule):
         # the RL002-blessed rename modules…
         "repro/pipeline/staging.py",
         "repro/storage/store.py",
-        "repro/storage/journal.py",
         "repro/core/packing/external.py",
         # …and the ack points
         "repro/ingest/wal.py",

@@ -121,8 +121,8 @@ class PagedRTree:
         store has one (returns whether it did).
 
         For a durable :class:`~repro.storage.store.FilePageStore` this is
-        the build's atomic commit point: pages are fsynced, the superblock
-        is shadow-written, and the write journal is checkpointed.
+        the build's atomic commit point: pages are fsynced, then the
+        superblock is shadow-written.
         """
         if not getattr(self.store, "supports_tree_meta", False):
             return False

@@ -88,6 +88,7 @@ __all__ = [
     "decode_request",
     "encode_response",
     "decode_response",
+    "check_data_id",
     "rect_from_wire",
     "rect_to_wire",
 ]
@@ -291,13 +292,7 @@ def decode_request(line: bytes | str) -> Request:
         raise _bad_request(f"path must be a string, got {path!r}", req_id)
     data_id = payload.get("data_id")
     if data_id is not None:
-        # Ids are stored as int64 (the delta, the merged tree); reject
-        # the rest here, before a write could reach the WAL.
-        if (not isinstance(data_id, int) or isinstance(data_id, bool)
-                or not -(1 << 63) <= data_id < 1 << 63):
-            raise _bad_request(
-                f"data_id must be a 64-bit signed integer, got "
-                f"{data_id!r}", req_id)
+        check_data_id(data_id, req_id)
     unknown = set(payload) - {"id", "op", "rect", "point", "deadline_s",
                               "k", "path", "data_id"}
     if unknown:
@@ -306,6 +301,18 @@ def decode_request(line: bytes | str) -> Request:
     return Request(op=op, id=req_id, rect=payload.get("rect"),
                    point=payload.get("point"), deadline_s=deadline_s,
                    k=k, path=path, data_id=data_id)
+
+
+def check_data_id(data_id: object, req_id: int = 0) -> int:
+    """``data_id`` when it fits the int64 ids are stored as (the delta,
+    the merged tree); :class:`BadRequest` otherwise, before a write
+    could reach the WAL."""
+    if (not isinstance(data_id, int) or isinstance(data_id, bool)
+            or not -(1 << 63) <= data_id < 1 << 63):
+        raise _bad_request(
+            f"data_id must be a 64-bit signed integer, got {data_id!r}",
+            req_id)
+    return data_id
 
 
 def _bad_request(message: str, req_id: int) -> BadRequest:

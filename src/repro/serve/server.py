@@ -101,6 +101,7 @@ from .protocol import (
     Request,
     Response,
     ServeError,
+    check_data_id,
     decode_request,
     encode_response,
     rect_from_wire,
@@ -324,6 +325,7 @@ class QueryServer:
                 "it with --ingest)")
         if req.data_id is None:
             raise BadRequest(f"op {req.op!r} needs a data_id")
+        data_id = check_data_id(req.data_id, req.id)
         rect: Rect | None = None
         if req.op == "insert":
             if req.rect is None:
@@ -347,8 +349,8 @@ class QueryServer:
                     "merge before writing more")
             loop = asyncio.get_running_loop()
             walop = await loop.run_in_executor(
-                self._executor, self._write_blocking, req.op,
-                req.data_id, rect)
+                self._executor, self._write_blocking, req.op, data_id,
+                rect)
         elapsed = self.clock() - start
         obs.inc("ingest.writes", op=req.op)
         obs.observe("ingest.write_latency_s", elapsed)
@@ -379,7 +381,10 @@ class QueryServer:
         the re-pack itself runs without any lock while queries keep
         answering over ``base ∪ frozen ∪ live``; the cutover reuses
         the reload swap.  A failure before the pointer commit leaves
-        the old generation serving and raises typed ``MergeFailed``.
+        the old generation serving and raises typed ``MergeFailed``; a
+        cutover that fails after it (say ``ReloadRejected``) also keeps
+        the old generation serving, with the frozen layers folded back
+        so the next merge can run.
         """
         ingest = self.ingest
         if ingest is None:
@@ -410,8 +415,13 @@ class QueryServer:
             return Response(id=req.id, ok=True, op="merge",
                             data={"merged": False,
                                   "generation": self.generation})
-        data = await loop.run_in_executor(
-            self._executor, self._cutover_blocking, report)
+        try:
+            data = await loop.run_in_executor(
+                self._executor, self._cutover_blocking, report)
+        except Exception:
+            with self._search_lock:
+                ingest.abort_merge()
+            raise
         if self.pool is not None:
             data["pool"] = await self._remap_pool()
         return Response(id=req.id, ok=True, op="merge", data=data)
@@ -540,8 +550,7 @@ class QueryServer:
         except Exception as exc:
             # The candidate store must not outlive its rejection: a
             # leaked fd per failed reload adds up under a flapping
-            # deployer, and the journal replay on the *next* attempt
-            # assumes the previous holder released the file.
+            # deployer, and the *next* attempt reopens the same file.
             if store is not None:
                 try:
                     store.close()

@@ -1,6 +1,6 @@
 """Storage substrate: pages, page stores, buffer pool, I/O accounting,
-and the opt-in durability layer (checksums, journal, fault injection,
-retry with jitter, circuit breaker)."""
+and the opt-in durability layer (checksums, legacy journal replay, fault
+injection, retry with jitter, circuit breaker)."""
 
 from .breaker import CircuitBreaker
 from .buffer import BufferPool, ClockPolicy, FIFOPolicy, LRUPolicy, make_policy

@@ -6,13 +6,13 @@ Three cooperating pieces:
   :class:`~repro.storage.store.FilePageStore` and fires on the Nth byte
   string written to the OS, optionally tearing that write (only a prefix
   reaches the file) before raising :class:`SimulatedCrash`.  This is the
-  crash-matrix engine: because journal appends and in-place page writes go
-  through the same hook, every point of the double-write protocol can be
-  interrupted.
+  crash-matrix engine: because page writes and superblock commits go
+  through the same hook, every point of a build's write-then-commit
+  protocol can be interrupted.
 * :class:`FaultPlan` + :class:`FaultInjectingPageStore` — an *API-level*
   wrapper around any store: seeded, deterministic transient ``IOError``\\ s
   on reads/writes, at-rest single-bit flips beneath the inner store's
-  checksum layer, torn writes that bypass the journal, and
+  checksum layer, torn writes that bypass checksum stamping, and
   crash-at-Nth-write.
 * :class:`RetryPolicy` — bounded retry with backoff, consulted by
   :meth:`~repro.storage.store.PageStore.read_page` /
@@ -137,8 +137,7 @@ class CrashPlan:
     """Crash at the Nth *physical file write*, optionally tearing it.
 
     ``at_write`` is the 0-based index of the fatal write across every file
-    the store touches (journal appends, in-place page writes, superblock
-    slots).  ``tear_bytes`` controls how much of that write reaches the
+    the store touches (page writes and superblock slots).  ``tear_bytes`` controls how much of that write reaches the
     disk: ``None`` crashes cleanly before the write, ``k`` leaves a k-byte
     prefix (a torn write), and anything >= the write's length lands the
     whole write before dying.
@@ -185,8 +184,8 @@ class FaultPlan:
     p_bit_flip: float = 0.0
     bit_flip_writes: frozenset = frozenset()
     #: 0-based write_page index to tear: a prefix of the image is stored
-    #: raw, bypassing checksum stamping and the journal, then the plan
-    #: crashes.  ``torn_fraction`` picks the tear point.
+    #: raw, bypassing checksum stamping, then the plan crashes.
+    #: ``torn_fraction`` picks the tear point.
     torn_write_at: int | None = None
     torn_fraction: float = 0.5
     #: 0-based write_page index at which to raise :class:`SimulatedCrash`

@@ -1,35 +1,35 @@
-"""Double-write journal: torn-write-proof page updates.
+"""Legacy double-write journal sidecars: replayed, never written.
 
-A torn write — a crash that leaves only a prefix of a page on disk — is
-the one failure a per-page checksum can detect but not repair.  The fix is
-the classic double-write protocol (InnoDB's doublewrite buffer, Postgres
-full-page writes): before a page image is written in place, the *complete*
-image is appended to a side journal together with its checksum.  Only then
-does the in-place write start.  On reopen after a crash:
+Earlier versions of :class:`~repro.storage.store.FilePageStore` could
+journal every page write: before a page image was written in place, the
+*complete* image was appended, CRC-protected, to a ``<file>.journal``
+sidecar (the double-write protocol of InnoDB's doublewrite buffer and
+Postgres full-page writes), and the superblock carried ``FLAG_JOURNAL``.
+That protocol repairs exactly one failure: a torn in-place rewrite of a
+committed page.  Every writer now packs a *fresh* file and publishes it
+by superblock commit or generation-pointer rename, so no committed page
+is rewritten in place and nothing writes a journal any more.
 
-* a record that is fully present and passes its CRC is **replayed** — the
-  in-place write it guarded may have been torn, and rewriting the journaled
-  image makes the page whole again (replay is idempotent);
+Files from before still carry the flag, and a crash could have left
+their sidecar holding records.  Opening such a file for writing replays
+it with this module:
+
+* a record that is fully present and passes its CRC is **replayed** —
+  the in-place write it guarded may have been torn, and rewriting the
+  journaled image makes the page whole again (replay is idempotent);
 * a truncated or CRC-failing record marks the crash point *inside the
   journal append itself* — the guarded in-place write never started, so
   the record and everything after it is **discarded**.
 
-The journal is truncated back to its header at every checkpoint (flush /
-clean close), so steady-state cost is one extra sequential write per page
-update.
-
 The header's version field is the checksum version of every record in
-the file (see :mod:`repro.storage.integrity`).  A new journal is written
-at the current version; an existing one keeps its version — its records
-are verified, and further appends stamped, with that version's checksum
-— until a checkpoint rewrites the header at the current version.
+the file (see :mod:`repro.storage.integrity`).
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from typing import BinaryIO, Callable, Iterator
+from typing import Iterator
 
 from .integrity import (
     CHECKSUM_VERSION,
@@ -71,43 +71,28 @@ def journal_has_records(path: str | os.PathLike) -> bool:
 
 
 class WriteJournal:
-    """Append-only intent log of full page images.
+    """Read-only view of a legacy journal sidecar of full page images.
 
-    ``write_fn`` is the store's physical-write hook: every byte string
-    headed for the file goes through ``write_fn(file, data)``, which is how
-    the simulated-crash plans tear or abort journal appends (see
-    :class:`~repro.storage.faults.CrashPlan`).
+    Opening validates the header (magic, checksum version, page size);
+    :meth:`scan` yields the intact records.  A sidecar shorter than its
+    header was torn while being created and holds no records.
     """
 
-    def __init__(self, path: str | os.PathLike, page_size: int, *,
-                 sync: bool = False,
-                 write_fn: Callable[[BinaryIO, bytes], None] | None = None
-                 ) -> None:
+    def __init__(self, path: str | os.PathLike, page_size: int) -> None:
         self.path = os.fspath(path)
         self.page_size = page_size
-        self.sync = sync
-        self._write_fn = (write_fn if write_fn is not None
-                          else lambda f, data: f.write(data))
-        exists = os.path.exists(self.path)
-        self._file = open(self.path, "r+b" if exists else "w+b")
-        if exists and os.fstat(self._file.fileno()).st_size >= _FILE_HEADER.size:
-            version = self._check_header()
-        else:
-            self._write_header()
-            version = CHECKSUM_VERSION
-        #: Checksum version of every record in the file.
-        self.version = version
-        self._file.seek(0, os.SEEK_END)
-
-    def _write_header(self) -> None:
-        self._file.seek(0)
-        self._file.write(_FILE_HEADER.pack(_FILE_MAGIC, CHECKSUM_VERSION, 0,
-                                           self.page_size))
-        self._file.flush()
+        self._file = open(self.path, "rb")
+        try:
+            #: Checksum version of every record in the file.
+            self.version = self._check_header()
+        except BaseException:
+            self._file.close()
+            raise
 
     def _check_header(self) -> int:
-        self._file.seek(0)
         head = self._file.read(_FILE_HEADER.size)
+        if len(head) < _FILE_HEADER.size:
+            return CHECKSUM_VERSION
         magic, version, _, page_size = _FILE_HEADER.unpack(head)
         if magic != _FILE_MAGIC:
             raise JournalError(f"{self.path}: not a page journal "
@@ -121,38 +106,6 @@ class WriteJournal:
                 f"store page size {self.page_size}"
             )
         return int(version)
-
-    # -- writing --------------------------------------------------------------
-
-    def append(self, page_id: int, image: bytes) -> None:
-        """Log the intent to write ``image`` (a full physical page) at
-        ``page_id``; durable (per ``sync``) before this returns."""
-        if len(image) != self.page_size:
-            raise JournalError(
-                f"journal record for page {page_id}: {len(image)} bytes, "
-                f"page size is {self.page_size}"
-            )
-        record = _RECORD_HEADER.pack(
-            _RECORD_MAGIC, page_id,
-            checksum(image, version=self.version)) + image
-        self._write_fn(self._file, record)
-        self._file.flush()
-        if self.sync:
-            os.fsync(self._file.fileno())
-
-    def checkpoint(self) -> None:
-        """Drop all records: the guarded in-place writes are now durable.
-        An older-version header is rewritten at the current version."""
-        self._file.truncate(_FILE_HEADER.size)
-        if self.version != CHECKSUM_VERSION:
-            self._write_header()
-            self.version = CHECKSUM_VERSION
-        self._file.seek(_FILE_HEADER.size)
-        self._file.flush()
-        if self.sync:
-            os.fsync(self._file.fileno())
-
-    # -- recovery -------------------------------------------------------------
 
     def scan(self) -> Iterator[tuple[int, bytes]]:
         """Yield ``(page_id, image)`` for every intact record, in order.
@@ -174,7 +127,6 @@ class WriteJournal:
                     or checksum(image, version=self.version) != crc):
                 return
             yield page_id, image
-        # not reached
 
     @property
     def record_bytes(self) -> int:
@@ -183,15 +135,11 @@ class WriteJournal:
                    - _FILE_HEADER.size)
 
     def close(self) -> None:
-        """Flush and release the journal file."""
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
+        """Release the journal file."""
+        self._file.close()
 
-    def abandon(self) -> None:
-        """Close without flushing (simulated-crash path)."""
-        if not self._file.closed:
-            try:
-                self._file.close()
-            except OSError:  # pragma: no cover - flush of a torn buffer
-                pass
+    def __enter__(self) -> "WriteJournal":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()

@@ -28,9 +28,10 @@ buffer pool's ``read`` calls.
   bytes zeroed), so the two backends are interchangeable under every
   searcher, fsck pass and fault-injection wrapper.
 
-A journalled file whose sidecar still holds unreplayed records is
-refused: recovery is a *write*, which only
-:meth:`~repro.storage.store.FilePageStore.open_existing` may perform.
+A file whose superblock carries the legacy journal flag and whose
+sidecar still holds unreplayed records is refused: replay is a *write*,
+which only :meth:`~repro.storage.store.FilePageStore.open_existing` may
+perform (see :mod:`repro.storage.journal`).
 """
 
 from __future__ import annotations

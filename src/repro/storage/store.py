@@ -24,16 +24,15 @@ opt-in durability layer — see ``docs/durability.md`` for the protocol:
   into every page's padding and verifies it on every read, so a flipped
   bit or torn page is a loud :class:`~repro.storage.integrity.ChecksumError`
   instead of silently decoded garbage.
-* ``journal=True`` makes page writes torn-write-proof with a double-write
-  journal: the full image is logged (CRC-protected) before the in-place
-  write, and reopening after a crash replays intact records / discards the
-  torn tail.
-* Either flag reserves two leading **superblock** slots, shadow-written
+* It also reserves two leading **superblock** slots, shadow-written
   alternately, holding the page size, the durability flags, the committed
   page count and the tree metadata — a durable file is self-describing
-  (:meth:`FilePageStore.open_existing`).
+  (:meth:`FilePageStore.open_existing`).  A packed tree is written once
+  into a fresh file, and its superblock commit is its publication.
+* A file whose superblock still carries the legacy journal flag gets its
+  double-write sidecar replayed on open (:mod:`repro.storage.journal`).
 
-With both flags off, layout and behaviour are byte-identical to the plain
+With checksums off, layout and behaviour are byte-identical to the plain
 store, so the paper's access counts cannot move.
 """
 
@@ -227,8 +226,8 @@ class PageStore(abc.ABC):
         )
 
     def raw_write(self, page_id: int, data: bytes) -> None:
-        """Overwrite the stored physical image, bypassing checksums and the
-        journal — the corruption back-door fault injection and tests use."""
+        """Overwrite the stored physical image, bypassing checksums — the
+        corruption back-door fault injection and tests use."""
         raise StoreError(
             f"{type(self).__name__} does not support raw page access"
         )
@@ -301,12 +300,15 @@ class FilePageStore(PageStore):
     ----------
     checksums:
         Stamp and verify a checksum trailer on every page (reduces
-        :attr:`payload_size` by the trailer size).
+        :attr:`payload_size` by the trailer size) behind a superblock.
+        An existing file must match: a superblock whose checksums flag
+        differs is refused.
     journal:
-        Double-write journal every page update; replay/discard on open.
-    sync:
-        ``fsync`` the journal before each in-place write and the data file
-        at superblock commits (full durability; slower).
+        Ignored.  Stores no longer journal page writes; a legacy
+        journal sidecar is replayed when the *file's* superblock carries
+        the journal flag, whatever the caller passes.  The keyword stays
+        only because the benchmark's traced build (``perfbench/traced.py``)
+        still passes it.
     retry:
         Optional :class:`~repro.storage.faults.RetryPolicy` for transient
         faults.
@@ -318,16 +320,14 @@ class FilePageStore(PageStore):
     def __init__(self, path: str | os.PathLike, page_size: int,
                  stats: IOStats | None = None, *,
                  checksums: bool = False, journal: bool = False,
-                 sync: bool = False, retry: RetryPolicy | None = None,
+                 retry: RetryPolicy | None = None,
                  breaker: CircuitBreaker | None = None,
                  crash_plan: CrashPlan | None = None) -> None:
         super().__init__(page_size, stats, retry=retry, breaker=breaker)
         self._path = os.fspath(path)
         self.checksums = checksums
-        self._journal_requested = journal
-        self._durable = checksums or journal
+        self._durable = checksums
         self._reserved = SUPERBLOCK_SLOTS if self._durable else 0
-        self._sync = sync
         self._crash_plan = crash_plan
         self._crashed = False
         self._closed = False
@@ -350,33 +350,23 @@ class FilePageStore(PageStore):
                     # open always sees the superblock magic at offset 0.
                     self._commit_superblock()
                     self._commit_superblock()
-            self._journal = None
-            if journal:
-                self._journal = WriteJournal(
-                    journal_path(self._path), page_size, sync=sync,
-                    write_fn=self._physical_write,
-                )
-                if exists:
-                    self._recover()
         except BaseException:
-            if getattr(self, "_journal", None) is not None:
-                self._journal.abandon()
             self._file.close()
             raise
 
     # -- open / recovery ------------------------------------------------------
 
     def _open_layout(self, size: int) -> None:
-        """Validate an existing file and learn its page count."""
+        """Validate an existing file and learn its page count.
+
+        A superblock makes the file durable whatever was requested: its
+        checksums flag must match the request, and its legacy journal
+        flag triggers a replay of the journal sidecar.
+        """
         self._phys_size = size
-        if not self._durable:
-            self._file.seek(0)
-            if looks_like_superblock(self._file.read(4)):
-                raise StoreError(
-                    f"{self._path}: file has a superblock — it is a durable "
-                    f"store; open it with matching checksums/journal flags "
-                    f"or FilePageStore.open_existing()"
-                )
+        self._file.seek(0)
+        if not self._durable and not looks_like_superblock(
+                self._file.read(4)):
             if size % self.page_size:
                 raise StoreError(
                     f"{self._path}: size {size} is not a multiple of "
@@ -390,15 +380,20 @@ class FilePageStore(PageStore):
                 f"{self._path}: superblock page size {sb.page_size} != "
                 f"requested {self.page_size}"
             )
-        if sb.flags != self._flags():
+        if (sb.flags & FLAG_CHECKSUMS) != self._flags():
             raise StoreError(
-                f"{self._path}: durability flags on disk "
+                f"{self._path}: superblock flags "
                 f"({self._flag_names(sb.flags)}) do not match the open "
-                f"request ({self._flag_names(self._flags())})"
+                f"request ({self._flag_names(self._flags())}); open it "
+                f"with FilePageStore.open_existing()"
             )
+        self._durable = True
+        self._reserved = SUPERBLOCK_SLOTS
         self._seq = sb.seq
         self._count = sb.page_count
         self._tree_meta = sb.tree
+        if sb.flags & FLAG_JOURNAL:
+            self._replay_journal()
 
     def _read_superblock(self) -> Superblock:
         """Decode the newest valid shadow slot (or raise precisely)."""
@@ -418,31 +413,35 @@ class FilePageStore(PageStore):
             )
         return max(slots, key=lambda sb: sb.seq)
 
-    def _recover(self) -> None:
-        """Replay intact journal records, discard the torn tail."""
-        assert self._journal is not None
-        if self._journal.record_bytes == 0:
+    def _replay_journal(self) -> None:
+        """Replay a legacy journal sidecar's intact records, discard its
+        torn tail, fsync, then delete it.  The next superblock commit
+        drops the journal flag."""
+        path = journal_path(self._path)
+        if not os.path.exists(path):
             return
-        replayed = 0
-        for page_id, image in self._journal.scan():
-            offset = (self._reserved + page_id) * self.page_size
-            self._file.seek(offset)
-            self._file.write(image)
-            self._phys_size = max(self._phys_size,
-                                  offset + self.page_size)
-            replayed += 1
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self._journal.checkpoint()
-        self.recoveries += 1
-        self.recovered_pages += replayed
-        obs.inc("storage.recoveries")
-        obs.inc("storage.recovered_pages", replayed)
+        with WriteJournal(path, self.page_size) as journal:
+            if journal.record_bytes:
+                replayed = 0
+                for page_id, image in journal.scan():
+                    offset = self._data_offset(page_id)
+                    self._file.seek(offset)
+                    self._file.write(image)
+                    self._phys_size = max(self._phys_size,
+                                          offset + self.page_size)
+                    replayed += 1
+                self._file.flush()
+                os.fsync(self._file.fileno())
+                self.recoveries += 1
+                self.recovered_pages += replayed
+                obs.inc("storage.recoveries")
+                obs.inc("storage.recovered_pages", replayed)
+        os.remove(path)
 
     @classmethod
     def open_existing(cls, path: str | os.PathLike,
                       stats: IOStats | None = None, *,
-                      sync: bool = False, retry: RetryPolicy | None = None,
+                      retry: RetryPolicy | None = None,
                       breaker: CircuitBreaker | None = None
                       ) -> "FilePageStore":
         """Open a durable store using only its superblock (self-describing:
@@ -452,8 +451,7 @@ class FilePageStore(PageStore):
         return cls(
             path, sb.page_size, stats,
             checksums=bool(sb.flags & FLAG_CHECKSUMS),
-            journal=bool(sb.flags & FLAG_JOURNAL),
-            sync=sync, retry=retry, breaker=breaker,
+            retry=retry, breaker=breaker,
         )
 
     # -- properties -----------------------------------------------------------
@@ -473,10 +471,6 @@ class FilePageStore(PageStore):
         return self.page_size
 
     @property
-    def journal_enabled(self) -> bool:
-        return self._journal is not None
-
-    @property
     def supports_tree_meta(self) -> bool:
         """Durable stores persist tree metadata in their superblock."""
         return self._durable
@@ -488,14 +482,13 @@ class FilePageStore(PageStore):
         return dict(self._tree_meta) if self._tree_meta is not None else None
 
     def set_tree_meta(self, meta: dict) -> None:
-        """Commit tree metadata: data is fsynced, the superblock is
-        shadow-written, and the journal is checkpointed — the build's
-        atomic commit point."""
+        """Commit tree metadata: data is fsynced, then the superblock is
+        shadow-written — the build's atomic commit point."""
         self._ensure_open()
         if not self._durable:
             raise StoreError(
                 f"{self._path}: tree metadata needs a superblock — open "
-                f"with checksums=True or journal=True"
+                f"with checksums=True"
             )
         required = {"height", "root_page", "ndim", "capacity", "size"}
         missing = required - set(meta)
@@ -507,8 +500,7 @@ class FilePageStore(PageStore):
     # -- physical I/O ---------------------------------------------------------
 
     def _flags(self) -> int:
-        return ((FLAG_CHECKSUMS if self.checksums else 0)
-                | (FLAG_JOURNAL if self._journal_requested else 0))
+        return FLAG_CHECKSUMS if self.checksums else 0
 
     @staticmethod
     def _flag_names(flags: int) -> str:
@@ -587,8 +579,6 @@ class FilePageStore(PageStore):
                     f"is {self.payload_size} of {self.page_size} bytes)"
                 )
             image = stamp_trailer(data, page_id)
-        if self._journal is not None:
-            self._journal.append(page_id, image)
         self._file.seek(self._data_offset(page_id))
         self._physical_write(self._file, image)
 
@@ -626,13 +616,12 @@ class FilePageStore(PageStore):
         self._file.seek(offset)
         self._physical_write(self._file, sb.encode())
         self._file.flush()
-        if self._sync:
-            os.fsync(self._file.fileno())
         self._phys_size = max(self._phys_size, offset + self.page_size)
 
     def flush(self) -> None:
         """Make every committed page durable: trim the batch extension,
-        fsync the data, shadow-write the superblock, drop the journal."""
+        fsync the data (and the previous superblock commit with it), then
+        shadow-write the superblock."""
         self._ensure_open()
         exact = self._data_offset(self._count)
         if self._phys_size != exact:
@@ -641,8 +630,6 @@ class FilePageStore(PageStore):
         self._file.flush()
         os.fsync(self._file.fileno())
         self._commit_superblock()
-        if self._journal is not None:
-            self._journal.checkpoint()
 
     def close(self, *, flush: bool = True) -> None:
         """Close the store; ``flush=False`` skips the final superblock
@@ -654,8 +641,6 @@ class FilePageStore(PageStore):
             # A simulated crash leaves the file exactly as the torn write
             # left it: close handles without flushing anything.
             self._closed = True
-            if self._journal is not None:
-                self._journal.abandon()
             try:
                 self._file.close()
             except OSError:  # pragma: no cover
@@ -666,11 +651,6 @@ class FilePageStore(PageStore):
                 self.flush()
         finally:
             self._closed = True
-            if self._journal is not None:
-                if self._crashed:
-                    self._journal.abandon()
-                else:
-                    self._journal.close()
             self._file.close()
 
     def _ensure_open(self) -> None:

@@ -8,8 +8,8 @@ it rewrites the same bytes.
 
 Fixtures (paths relative to the output directory):
 
-* ``tree/`` — a 200-record durable tree (``checksums=True,
-  journal=True``, capacity 8) and its checkpointed journal sidecar;
+* ``tree/`` — a 200-record durable tree (checksummed and journaled,
+  capacity 8) and its checkpointed journal sidecar;
 * ``journaled/`` — the same tree after a simulated crash: the write
   journal still holds two unreplayed page images, and the in-place copy
   of the second page is torn (its second half zeroed), so only a replay
@@ -48,6 +48,9 @@ from repro.storage.store import FilePageStore, SimulatedCrash
 COUNT = 200
 CAPACITY = 8
 TREE = "tree.rt"
+#: Store options of every fixture file.  The fixture commit's stores
+#: still journaled page writes; current stores ignore ``journal``.
+JOURNALED = {"checksums": True, "journal": True}
 
 
 def records() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,7 +93,7 @@ def make_tree(out: str) -> int:
     os.makedirs(os.path.join(out, "tree"))
     page_size = required_page_size(CAPACITY, 2) + TRAILER_SIZE
     store = FilePageStore(os.path.join(out, "tree", TREE), page_size,
-                          checksums=True, journal=True)
+                          **JOURNALED)
     try:
         bulk_load(RectArray(los, his), SortTileRecursive(), data_ids=ids,
                   capacity=CAPACITY, store=store)
@@ -110,7 +113,7 @@ def make_journaled(out: str, page_size: int) -> list[int]:
         probe.close(flush=False)
     # Physical writes: journal append, in-place write, journal append,
     # then the crash before the second in-place write.
-    store = FilePageStore(path, page_size, checksums=True, journal=True,
+    store = FilePageStore(path, page_size, **JOURNALED,
                           crash_plan=CrashPlan(at_write=3))
     try:
         for page_id, payload in zip(pages, payloads):

@@ -44,6 +44,8 @@ from repro.rtree.paged import PagedRTree
 from repro.storage.faults import flip_bit
 from repro.storage.integrity import (
     CHECKSUM_VERSION,
+    FLAG_CHECKSUMS,
+    FLAG_JOURNAL,
     TRAILER_SIZE,
     ChecksumError,
     IntegrityError,
@@ -99,7 +101,7 @@ def _fresh_v2(entries, path):
     ids = np.array(sorted(entries), dtype=np.int64)
     los = np.array([entries[int(i)][0] for i in ids], dtype=np.float64)
     his = np.array([entries[int(i)][1] for i in ids], dtype=np.float64)
-    store = FilePageStore(path, PAGE_SIZE, checksums=True, journal=True)
+    store = FilePageStore(path, PAGE_SIZE, checksums=True)
     bulk_load(RectArray(los, his), SortTileRecursive(), data_ids=ids,
               capacity=CAPACITY, store=store)
     store.close()
@@ -262,8 +264,7 @@ class TestV1Journal:
         finally:
             journal.close()
 
-    def test_open_existing_replays_and_checkpoint_rewrites_header(
-            self, tmp_path):
+    def test_open_existing_replays_and_deletes_sidecar(self, tmp_path):
         path = os.path.join(_copy(tmp_path, "journaled"), TREE)
         torn = MANIFEST["journal_pages"][1]
         with pytest.raises(ChecksumError):
@@ -272,11 +273,11 @@ class TestV1Journal:
         store = FilePageStore.open_existing(path)
         assert store.recoveries == 1
         assert store.recovered_pages == 2
+        assert not os.path.exists(journal_path(path))
+        assert _newest_flags(path) & FLAG_JOURNAL
         store.close()
-        with open(journal_path(path), "rb") as f:
-            header = f.read()
-        assert len(header) == 12
-        assert int.from_bytes(header[4:6], "little") == 2
+        # The close's superblock commit drops the journal flag.
+        assert _newest_flags(path) == FLAG_CHECKSUMS
         verify_trailer(_raw_page(path, torn), torn)
         assert _tree_answers(FilePageStore.open_existing(path)) \
             == _fresh_answers(_base_records(), tmp_path)
@@ -288,12 +289,21 @@ class TestV1Journal:
         assert report.recovered_pages == 2
         assert report.clean
         assert report.trailer_versions == {1: report.pages_checked}
+        assert not os.path.exists(journal_path(path))
+        assert _newest_flags(path) == FLAG_CHECKSUMS
 
 
 def _raw_page(path, page_id):
     with open(path, "rb") as f:
         f.seek((2 + page_id) * PAGE_SIZE)
         return f.read(PAGE_SIZE)
+
+
+def _newest_flags(path):
+    """Durability flags of the newest superblock slot."""
+    with open(path, "rb") as f:
+        slots = [Superblock.decode(f.read(PAGE_SIZE)) for _ in range(2)]
+    return max(slots, key=lambda sb: sb.seq).flags
 
 
 # -- a version-1 ingest directory ---------------------------------------------
@@ -485,8 +495,7 @@ class TestUnknownVersion:
             Superblock.decode(slot)
 
     def test_journal(self, tmp_path):
-        path = os.path.join(tmp_path, "j")
-        WriteJournal(path, PAGE_SIZE).close()
+        path = journal_path(os.path.join(_copy(tmp_path, "tree"), TREE))
         with open(path, "r+b") as f:
             f.seek(4)
             f.write((3).to_bytes(2, "little"))

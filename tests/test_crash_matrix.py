@@ -2,11 +2,11 @@
 
 This is the property test the durability layer exists to pass.  One clean
 instrumented run of a 10,000-rectangle bulk load counts the physical file
-writes W (journal appends, in-place page writes, superblock slots).  The
-matrix then reruns the identical build W times with a
-:class:`~repro.storage.faults.CrashPlan` killing the store at write i —
-cycling through clean crashes and torn writes of 1 byte, half a page, and
-all-but-one byte — and after every kill:
+writes W (page writes and superblock slots).  The matrix then reruns the
+identical build W times with a :class:`~repro.storage.faults.CrashPlan`
+killing the store at write i — cycling through clean crashes and torn
+writes of 1 byte, half a page, and all-but-one byte — and after every
+kill:
 
 * reopen must succeed or refuse *precisely* (no exception escapes fsck);
 * ``fsck`` must come back clean, or report that the build never committed;
@@ -34,7 +34,7 @@ from repro.storage import (
     SimulatedCrash,
     StoreError,
 )
-from repro.storage.integrity import SUPERBLOCK_SLOTS, TRAILER_SIZE
+from repro.storage.integrity import TRAILER_SIZE
 from repro.storage.page import required_page_size
 
 N_RECTS = 10_000
@@ -60,7 +60,7 @@ def oracle(dataset):
 
 def _build(path, dataset, crash_plan=None):
     """One durable build; returns the store (caller closes)."""
-    store = FilePageStore(path, PAGE_SIZE, checksums=True, journal=True,
+    store = FilePageStore(path, PAGE_SIZE, checksums=True,
                           crash_plan=crash_plan)
     try:
         bulk_load(dataset, SortTileRecursive(), capacity=CAPACITY,
@@ -96,7 +96,7 @@ def test_crash_at_every_write_boundary(tmp_path, dataset, oracle):
     store = _build(path, dataset, crash_plan=counter)
     store.close()
     total_writes = counter.writes_seen
-    assert total_writes > 2 * (N_RECTS // CAPACITY)  # journal + in-place
+    assert total_writes > N_RECTS // CAPACITY  # one write per leaf page
     clean_report = fsck(path)
     assert clean_report.clean, clean_report.render()
 
@@ -105,9 +105,8 @@ def test_crash_at_every_write_boundary(tmp_path, dataset, oracle):
     for crash_point in range(total_writes):
         tear = tears[crash_point % len(tears)]
         path = tmp_path / "crash.pages"
-        for sidecar in (path, tmp_path / "crash.pages.journal"):
-            if sidecar.exists():
-                sidecar.unlink()
+        if path.exists():
+            path.unlink()
 
         store = None
         with pytest.raises(SimulatedCrash):
@@ -143,39 +142,3 @@ def test_crash_at_every_write_boundary(tmp_path, dataset, oracle):
     # early crashes refuse, crashes after the commit point recover.
     assert refused > 0
     assert committed > 0
-
-
-def test_torn_overwrite_of_committed_tree_is_repaired(tmp_path, dataset,
-                                                      oracle):
-    """Journal *replay* (not just discard): crash between journaling a
-    page rewrite and completing the in-place write, scribble over the
-    half-written page, and the journaled image must heal it on reopen."""
-    queries, expected = oracle
-    path = tmp_path / "steady.pages"
-    store = _build(path, dataset)
-    store.close()
-
-    store = FilePageStore.open_existing(path)
-    victim = 0
-    image = store.peek_page(victim)
-    # Physical writes after reopen: the rewrite appends its journal record
-    # (write 0), then the plan kills the in-place write (write 1).
-    store._crash_plan = CrashPlan(at_write=1, tear_bytes=None)
-    with pytest.raises(SimulatedCrash):
-        store.write_page(victim, image)
-    store.close()
-    # The torn in-place write left garbage where the page starts.
-    with open(path, "r+b") as f:
-        f.seek((SUPERBLOCK_SLOTS + victim) * PAGE_SIZE)
-        f.write(b"\xde\xad\xbe\xef" * 32)
-
-    report = fsck(path)
-    assert report.journal_recovered and report.recovered_pages == 1, \
-        report.render()
-    assert report.clean, report.render()
-    recovered = FilePageStore.open_existing(path)
-    try:
-        assert recovered.recoveries == 0  # fsck already replayed it
-        assert _answers(recovered, queries) == expected
-    finally:
-        recovered.close()

@@ -29,7 +29,7 @@ def rects(rng):
 
 def _durable_tree(tmp_path, rects, name="t.pages"):
     path = tmp_path / name
-    store = FilePageStore(path, PAGE_SIZE, checksums=True, journal=True)
+    store = FilePageStore(path, PAGE_SIZE, checksums=True)
     tree, _ = bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
                         store=store)
     store.close()
@@ -40,7 +40,7 @@ class TestFsckModule:
     def test_clean_durable_tree(self, tmp_path, rects):
         report = fsck(_durable_tree(tmp_path, rects))
         assert report.clean, report.render()
-        assert report.checksums and report.journal
+        assert report.checksums and not report.journal_recovered
         assert report.pages_checked > 0
         assert report.tree["size"] == 500
         assert "clean" in report.render()
@@ -73,8 +73,7 @@ class TestFsckModule:
         for i, p in enumerate(points):
             dyn.insert(Rect.from_point(tuple(p)), i)
         path = tmp_path / "converted.pages"
-        store = FilePageStore(path, PAGE_SIZE, checksums=True,
-                              journal=True)
+        store = FilePageStore(path, PAGE_SIZE, checksums=True)
         paged = paged_from_dynamic(dyn, store=store)
         store.close()
 

@@ -47,7 +47,7 @@ def _build_base(path, entries):
     los = np.array([entries[int(i)][0] for i in ids], dtype=np.float64)
     his = np.array([entries[int(i)][1] for i in ids], dtype=np.float64)
     page_size = required_page_size(CAPACITY, NDIM) + TRAILER_SIZE
-    store = FilePageStore(path, page_size, checksums=True, journal=True)
+    store = FilePageStore(path, page_size, checksums=True)
     bulk_load(RectArray(los, his), SortTileRecursive(), data_ids=ids,
               capacity=CAPACITY, store=store)
     store.close()
@@ -190,7 +190,7 @@ class TestMergeBasics:
 class TestKillResumability:
     def test_kill_at_every_write_boundary(self, tmp_path):
         """Crash the merge at every physical write (store pages,
-        journal, and the pointer publication), with rotating tear
+        superblock slots, and the pointer publication), with rotating tear
         lengths.  Invariants after each kill: replay still answers the
         acked history exactly, and a re-run merge converges."""
         tears = (None, 1, 1 << 20)

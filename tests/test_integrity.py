@@ -1,6 +1,9 @@
-"""Unit tests for the checksums, page trailers, superblocks, and the journal."""
+"""Unit tests for the checksums, page trailers, superblocks, and the
+legacy journal reader."""
 
+import json
 import os
+import shutil
 
 import pytest
 
@@ -20,6 +23,14 @@ from repro.storage.integrity import (
 from repro.storage.journal import JournalError, WriteJournal, journal_path
 
 PAGE = 512
+
+_FIXTURES = os.path.join(os.path.dirname(__file__), "data", "checksum-v1")
+#: A legacy journal sidecar holding two intact records.
+SIDECAR = os.path.join(_FIXTURES, "journaled", "tree.rt.journal")
+with open(os.path.join(_FIXTURES, "fixtures.json")) as _f:
+    _MANIFEST = json.load(_f)
+SIDECAR_PAGE = _MANIFEST["page_size"]
+SIDECAR_PAGES = _MANIFEST["journal_pages"]
 
 
 class TestCrc32c:
@@ -122,60 +133,35 @@ class TestSuperblock:
 
 
 class TestWriteJournal:
-    def test_append_scan_roundtrip(self, tmp_path):
-        j = WriteJournal(tmp_path / "j", PAGE)
-        j.append(3, b"a" * PAGE)
-        j.append(9, b"b" * PAGE)
-        assert list(j.scan()) == [(3, b"a" * PAGE), (9, b"b" * PAGE)]
-        j.close()
+    """Replay-side reads of a legacy sidecar, each on a copy of the
+    committed ``checksum-v1/journaled`` fixture (two intact records)."""
 
-    def test_checkpoint_drops_records(self, tmp_path):
-        j = WriteJournal(tmp_path / "j", PAGE)
-        j.append(0, b"x" * PAGE)
-        j.checkpoint()
-        assert j.record_bytes == 0
-        assert list(j.scan()) == []
-        j.close()
+    def _sidecar(self, tmp_path):
+        path = tmp_path / "j"
+        shutil.copyfile(SIDECAR, path)
+        return path
 
     def test_torn_tail_discarded(self, tmp_path):
-        path = tmp_path / "j"
-        j = WriteJournal(path, PAGE)
-        j.append(1, b"a" * PAGE)
-        j.append(2, b"b" * PAGE)
-        j.close()
+        path = self._sidecar(tmp_path)
         # Tear the second record: cut 10 bytes off the file.
-        size = os.path.getsize(path)
         with open(path, "r+b") as f:
-            f.truncate(size - 10)
-        j2 = WriteJournal(path, PAGE)
-        assert list(j2.scan()) == [(1, b"a" * PAGE)]
-        j2.close()
+            f.truncate(os.path.getsize(path) - 10)
+        with WriteJournal(path, SIDECAR_PAGE) as j:
+            assert [pid for pid, _ in j.scan()] == SIDECAR_PAGES[:1]
 
     def test_corrupt_record_crc_stops_scan(self, tmp_path):
-        path = tmp_path / "j"
-        j = WriteJournal(path, PAGE)
-        j.append(1, b"a" * PAGE)
-        j.append(2, b"b" * PAGE)
-        j.close()
+        path = self._sidecar(tmp_path)
         # Flip a byte inside the *first* record's image: both records are
         # fully present, but the protocol must stop at the broken one.
         with open(path, "r+b") as f:
             f.seek(12 + 16 + 5)
             f.write(b"\xff")
-        j2 = WriteJournal(path, PAGE)
-        assert list(j2.scan()) == []
-        j2.close()
-
-    def test_wrong_size_record_rejected(self, tmp_path):
-        j = WriteJournal(tmp_path / "j", PAGE)
-        with pytest.raises(JournalError, match="page size"):
-            j.append(0, b"short")
-        j.close()
+        with WriteJournal(path, SIDECAR_PAGE) as j:
+            assert list(j.scan()) == []
 
     def test_page_size_mismatch_on_reopen(self, tmp_path):
-        WriteJournal(tmp_path / "j", PAGE).close()
         with pytest.raises(JournalError, match="page size"):
-            WriteJournal(tmp_path / "j", PAGE * 2)
+            WriteJournal(self._sidecar(tmp_path), SIDECAR_PAGE * 2)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "j"

@@ -109,7 +109,6 @@ def test_rl002_flags_raw_renames_anywhere(engine, source, fn):
 @pytest.mark.parametrize("blessed", [
     "src/repro/pipeline/staging.py",
     "src/repro/storage/store.py",
-    "src/repro/storage/journal.py",
     "src/repro/core/packing/external.py",
 ])
 def test_rl002_blessed_modules_may_rename(engine, blessed):

@@ -1,10 +1,12 @@
 """MmapPageStore: byte-parity with FilePageStore, first-touch CRC
-verification, read-only enforcement, journal refusal, fault-injection
-compatibility, and real multi-process shared readers."""
+verification, read-only enforcement, legacy journal refusal,
+fault-injection compatibility, and real multi-process shared readers."""
 
+import dataclasses
 import hashlib
 import multiprocessing
 import os
+import shutil
 
 import pytest
 
@@ -17,37 +19,60 @@ from repro.storage.faults import (
     RetryPolicy,
     corrupt_pages,
 )
-from repro.storage.integrity import TRAILER_SIZE, ChecksumError
-from repro.storage.journal import WriteJournal, journal_path
+from repro.storage.integrity import (
+    FLAG_JOURNAL,
+    SUPERBLOCK_SLOTS,
+    TRAILER_SIZE,
+    ChecksumError,
+    Superblock,
+)
+from repro.storage.journal import journal_path
 from repro.storage.page import required_page_size
 from repro.storage.store import StoreError
 
 CAPACITY = 25
 NDIM = 2
 PAGE_SIZE = required_page_size(CAPACITY, NDIM) + TRAILER_SIZE
+#: Durable files written when stores could still journal page writes.
+LEGACY = os.path.join(os.path.dirname(__file__), "data", "checksum-v1")
 
 
-def _build(rng, path, *, n=1_500, checksums=True, journal=True):
-    store = FilePageStore(path, PAGE_SIZE, checksums=checksums,
-                          journal=journal)
+def _build(rng, path, *, n=1_500, checksums=True):
+    store = FilePageStore(path, PAGE_SIZE, checksums=checksums)
     rects = RectArray.from_points(rng.random((n, NDIM)))
     tree, _ = bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
                         store=store)
     return store, tree
 
 
+def _flag_journal(path):
+    """Set the legacy journal flag in both superblock slots of a closed
+    durable file, as every durable file written while stores journaled
+    carried it."""
+    with open(path, "r+b") as f:
+        for slot in range(SUPERBLOCK_SLOTS):
+            f.seek(slot * PAGE_SIZE)
+            sb = Superblock.decode(f.read(PAGE_SIZE))
+            f.seek(slot * PAGE_SIZE)
+            f.write(dataclasses.replace(
+                sb, flags=sb.flags | FLAG_JOURNAL).encode())
+
+
 class TestByteParity:
-    @pytest.mark.parametrize("checksums,journal", [
+    @pytest.mark.parametrize("checksums,legacy_journal", [
         (True, True), (True, False), (False, False),
     ])
     def test_every_page_byte_identical(self, tmp_path, rng,
-                                       checksums, journal):
+                                       checksums, legacy_journal):
         path = tmp_path / "tree.pages"
-        store, tree = _build(rng, path, checksums=checksums,
-                             journal=journal)
+        store, tree = _build(rng, path, checksums=checksums)
+        if legacy_journal:
+            store.close()
+            _flag_journal(path)
+            store = FilePageStore.open_existing(path)
         # A plain (flagless) file has no superblock, so the mmap opener
         # needs the page size spelled out; durable files self-describe.
-        kwargs = {} if checksums or journal else {"page_size": PAGE_SIZE}
+        kwargs = {} if checksums else {"page_size": PAGE_SIZE}
         mapped = MmapPageStore(path, **kwargs)
         assert mapped.page_count == store.page_count
         assert mapped.payload_size == store.payload_size
@@ -74,7 +99,7 @@ class TestByteParity:
 
     def test_plain_file_requires_page_size(self, tmp_path, rng):
         path = tmp_path / "plain.pages"
-        store, _ = _build(rng, path, checksums=False, journal=False)
+        store, _ = _build(rng, path, checksums=False)
         store.close()
         with pytest.raises(StoreError, match="page_size"):
             MmapPageStore(path)
@@ -148,30 +173,27 @@ class TestReadOnlyByConstruction:
 
 
 class TestJournalRefusal:
-    def test_pending_journal_records_refused(self, tmp_path, rng):
-        path = tmp_path / "tree.pages"
-        store, _ = _build(rng, path)
-        image = store.raw_read(0)
-        store.close()
-        # Simulate a crash that left an unreplayed double-write record
-        # (the page's own image, so the write side's replay is a no-op):
-        # read-only serving must hand the file back to the write side.
-        journal = WriteJournal(journal_path(path), PAGE_SIZE)
-        journal.append(0, image)
-        journal.close()
+    def _legacy(self, tmp_path, name):
+        shutil.copytree(os.path.join(LEGACY, name), tmp_path / name)
+        return tmp_path / name / "tree.rt"
+
+    def test_pending_journal_records_refused(self, tmp_path):
+        # A crash left unreplayed double-write records: read-only
+        # serving must hand the file back to the write side.
+        path = self._legacy(tmp_path, "journaled")
         with pytest.raises(StoreError, match="unreplayed"):
             MmapPageStore(path)
         # The write-side opener recovers it; after that mmap works.
         recovered = FilePageStore.open_existing(path)
         recovered.close()
+        assert not os.path.exists(journal_path(path))
         mapped = MmapPageStore(path)
         mapped.read_page(0)
         mapped.close()
 
-    def test_checkpointed_journal_is_fine(self, tmp_path, rng):
-        path = tmp_path / "tree.pages"
-        store, _ = _build(rng, path)
-        store.close()  # clean close checkpoints the journal
+    def test_checkpointed_journal_is_fine(self, tmp_path):
+        # A clean close left the sidecar header-only.
+        path = self._legacy(tmp_path, "tree")
         mapped = MmapPageStore(path)
         assert mapped.page_count > 0
         mapped.close()

@@ -97,7 +97,7 @@ class TestDurabilityNonPerturbation:
     """The durability layer is opt-in and must never move the paper's
     metric: the same build + workload reports bit-identical access counts
     on a memory store, a plain file store, and a fully durable
-    (checksums + journal + retry) file store."""
+    (checksums + retry) file store."""
 
     def _accesses(self, store):
         rects = RectArray.from_points(
@@ -123,8 +123,7 @@ class TestDurabilityNonPerturbation:
         plain = FilePageStore(tmp_path / "plain.pages", page)
         durable = FilePageStore(
             tmp_path / "durable.pages", page + TRAILER_SIZE,
-            checksums=True, journal=True,
-            retry=RetryPolicy(sleep=lambda s: None),
+            checksums=True, retry=RetryPolicy(sleep=lambda s: None),
         )
         try:
             assert self._accesses(plain) == baseline
@@ -142,8 +141,7 @@ class TestDurabilityNonPerturbation:
         baseline = self._accesses(MemoryPageStore(page))
         with obs.telemetry():
             durable = FilePageStore(tmp_path / "d.pages",
-                                    page + TRAILER_SIZE, checksums=True,
-                                    journal=True)
+                                    page + TRAILER_SIZE, checksums=True)
             try:
                 assert self._accesses(durable) == baseline
             finally:

@@ -95,7 +95,7 @@ def test_chaos_soak_no_silently_wrong_answers(tmp_path, rng):
     # bit flips beneath the checksum layer.
     page_size = required_page_size(CAPACITY, 2) + TRAILER_SIZE
     path = tmp_path / "chaos.pages"
-    store = FilePageStore(path, page_size, checksums=True, journal=True)
+    store = FilePageStore(path, page_size, checksums=True)
     tree, _ = bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
                         store=store)
     leaves = tree.level_pages(0)
@@ -231,8 +231,7 @@ def test_chaos_soak_with_mid_traffic_reloads(tmp_path, rng):
     paths = []
     for name in ("gen-a.pages", "gen-b.pages"):
         path = tmp_path / name
-        store = FilePageStore(path, page_size, checksums=True,
-                              journal=True)
+        store = FilePageStore(path, page_size, checksums=True)
         bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
                   store=store)
         store.close()

@@ -42,7 +42,7 @@ def _build(path):
     child."""
     rng = np.random.default_rng(SEED)
     los = rng.random((SQUARES, NDIM)) * (1.0 - SIDE)
-    store = FilePageStore(path, PAGE_SIZE, checksums=True, journal=True)
+    store = FilePageStore(path, PAGE_SIZE, checksums=True)
     tree, _ = bulk_load(RectArray(los, los + SIDE), SortTileRecursive(),
                         capacity=CAPACITY, store=store)
     assert tree.height == 3

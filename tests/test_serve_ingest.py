@@ -6,7 +6,6 @@ then resumed with zero lost acked writes."""
 
 import asyncio
 import errno
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from repro.ingest import (
     resolve_current,
 )
 from repro.rtree.paged import PagedRTree
-from repro.serve import QueryClient, QueryServer, Request
+from repro.serve import QueryClient, QueryServer, ReloadRejected, Request
 from repro.storage import FilePageStore
 from repro.storage.faults import CrashPlan
 from repro.storage.integrity import TRAILER_SIZE
@@ -47,8 +46,7 @@ def _build_base(tree_path, n=N_BASE, seed=7):
     lo = rng.random((n, NDIM)) * 0.9
     rects = RectArray(lo, lo + rng.random((n, NDIM)) * 0.05)
     page_size = required_page_size(CAPACITY, NDIM) + TRAILER_SIZE
-    store = FilePageStore(tree_path, page_size, checksums=True,
-                          journal=True)
+    store = FilePageStore(tree_path, page_size, checksums=True)
     bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
               store=store)
     store.close()
@@ -135,6 +133,34 @@ class TestWritePath:
                     (await c.insert(7000, second)).raise_for_error()
                     oracle[7000] = (second.lo, second.hi)
                     await _assert_oracle_exact(c, oracle)
+
+        run(scenario())
+
+    def test_in_process_data_id_outside_int64_is_refused(self, tmp_path):
+        """A ``Request`` built in code skips the wire decoder; the write
+        path runs the same int64 check, so nothing reaches the WAL and
+        overlapping reads keep answering."""
+        tree_path = str(tmp_path / "tree.rt")
+        oracle = _build_base(tree_path, n=50)
+        tree, state = _open_serving(tree_path)
+        window = Rect((0.4, 0.4), (0.6, 0.6))
+
+        async def scenario():
+            async with QueryServer(tree, ingest=state) as server:
+                before = state.wal.last_lsn
+                for op, data_id in (("insert", 2 ** 64),
+                                    ("insert", -2 ** 63 - 1),
+                                    ("delete", 2 ** 63)):
+                    resp = await server.handle_request(Request(
+                        op=op, id=3, data_id=data_id,
+                        rect=[[0.5, 0.5], [0.5, 0.5]]))
+                    assert (resp.ok, resp.error) == (False, "BadRequest")
+                    assert "64-bit" in resp.message
+                assert state.wal.last_lsn == before
+                resp = await server.handle_request(Request(
+                    op="search", id=4,
+                    rect=[list(window.lo), list(window.hi)]))
+                assert resp.ok and resp.ids == _brute_search(oracle, window)
 
         run(scenario())
 
@@ -233,32 +259,44 @@ class TestMergeCutover:
 
     def test_failed_merge_does_not_block_the_next(self, tmp_path,
                                                    monkeypatch):
-        """A re-pack that fails with a plain ``OSError`` (a full disk)
-        answers ``MergeFailed`` and unfreezes the delta, so the next
-        merge runs instead of answering "already in flight"."""
+        """A merge that fails unfreezes the delta, so the next merge runs
+        instead of answering "already in flight".  Two failures: a
+        re-pack hitting a plain ``OSError`` (a full disk) answers
+        ``MergeFailed``; a cutover whose reload is rejected *after* the
+        pointer commit answers ``ReloadRejected`` and keeps the old
+        generation serving."""
         tree_path = str(tmp_path / "tree.rt")
         oracle = _build_base(tree_path, n=50)
         tree, state = _open_serving(tree_path)
         real_merge = QueryServer._merge_blocking
+        real_reload = QueryServer._reload_blocking
         failures = []
 
         def full_disk_once(server):
-            if not failures:
-                failures.append(1)
+            if "merge" not in failures:
+                failures.append("merge")
                 raise OSError(errno.ENOSPC, "No space left on device")
             return real_merge(server)
 
+        def reject_once(server, path):
+            if "reload" not in failures:
+                failures.append("reload")
+                raise ReloadRejected(f"fsck of {path} failed")
+            return real_reload(server, path)
+
         monkeypatch.setattr(QueryServer, "_merge_blocking", full_disk_once)
+        monkeypatch.setattr(QueryServer, "_reload_blocking", reject_once)
+
+        async def insert(c, first, count):
+            for i in range(first, first + count):
+                (await c.insert(i, _rect(i))).raise_for_error()
+                oracle[i] = (_rect(i).lo, _rect(i).hi)
 
         async def scenario():
             async with QueryServer(tree, ingest=state) as server:
                 host, port = server.address
                 async with await QueryClient.connect(host, port) as c:
-                    for i in range(10):
-                        (await c.insert(8000 + i, _rect(8000 + i))
-                         ).raise_for_error()
-                        oracle[8000 + i] = (_rect(8000 + i).lo,
-                                            _rect(8000 + i).hi)
+                    await insert(c, 8000, 10)
                     resp = await c.request(Request(op="merge"))
                     assert resp.error == "MergeFailed"
                     assert "OSError" in resp.message
@@ -266,14 +304,21 @@ class TestMergeCutover:
                     assert server.generation == 1
                     await _assert_oracle_exact(c, oracle)
 
+                    resp = await c.request(Request(op="merge"))
+                    assert resp.error == "ReloadRejected"
+                    assert state.merging is False
+                    assert server.generation == 1
+                    await _assert_oracle_exact(c, oracle)
+
+                    await insert(c, 8100, 5)
                     data = await c.merge()
                     assert data["merged"] is True
-                    assert data["merge"]["ops_applied"] == 10
+                    assert data["merge"]["ops_applied"] == 5
                     assert server.generation == 2
                     await _assert_oracle_exact(c, oracle)
 
         run(scenario())
-        assert failures == [1]
+        assert failures == ["merge", "reload"]
 
     def test_merge_with_nothing_pending_is_a_noop(self, tmp_path):
         tree_path = str(tmp_path / "tree.rt")

@@ -41,8 +41,7 @@ def _build(rng, store=None, n=2_000):
 
 
 def _durable_tree(tmp_path, rng, name="tree.pages", n=2_000):
-    store = FilePageStore(tmp_path / name, PAGE_SIZE,
-                          checksums=True, journal=True)
+    store = FilePageStore(tmp_path / name, PAGE_SIZE, checksums=True)
     _, tree = _build(rng, store=store, n=n)
     return tree
 

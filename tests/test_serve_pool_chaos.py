@@ -32,7 +32,6 @@ import pytest
 
 from repro import RectArray, SortTileRecursive, bulk_load
 from repro.queries import point_queries, region_queries
-from repro.rtree.paged import PagedRTree
 from repro.serve import QueryClient, QueryServer, Request
 from repro.storage import FilePageStore, MemoryPageStore
 from repro.storage.integrity import TRAILER_SIZE
@@ -70,8 +69,7 @@ def _dump_artifacts(summary, violations):
 
 def _durable_tree(tmp_path, rects, name):
     page_size = required_page_size(CAPACITY, 2) + TRAILER_SIZE
-    store = FilePageStore(tmp_path / name, page_size,
-                          checksums=True, journal=True)
+    store = FilePageStore(tmp_path / name, page_size, checksums=True)
     tree, _ = bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
                         store=store)
     return tree

@@ -34,7 +34,7 @@ def _durable_tree(tmp_path, rng, name, n=1500, offset=0.0):
     rects = RectArray.from_points(rng.random((n, NDIM)) + offset)
     page_size = required_page_size(CAPACITY, NDIM) + TRAILER_SIZE
     path = tmp_path / name
-    store = FilePageStore(path, page_size, checksums=True, journal=True)
+    store = FilePageStore(path, page_size, checksums=True)
     tree, _ = bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
                         store=store)
     return rects, tree, path

@@ -30,8 +30,7 @@ def _build(rng, n=2_000, store=None, capacity=CAPACITY):
 
 def _durable_store(tmp_path, name="tree.pages", capacity=CAPACITY):
     page_size = required_page_size(capacity, NDIM) + TRAILER_SIZE
-    return FilePageStore(tmp_path / name, page_size,
-                         checksums=True, journal=True)
+    return FilePageStore(tmp_path / name, page_size, checksums=True)
 
 
 def run(coro):

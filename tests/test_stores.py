@@ -5,10 +5,36 @@ import os
 import pytest
 
 from repro.storage.counters import IOStats
-from repro.storage.integrity import TRAILER_SIZE, ChecksumError
+from repro.storage.integrity import (
+    FLAG_CHECKSUMS,
+    FLAG_JOURNAL,
+    TRAILER_SIZE,
+    ChecksumError,
+    Superblock,
+)
 from repro.storage.store import FilePageStore, MemoryPageStore, StoreError
 
 PAGE = 512
+
+
+def _superblock_flags(path):
+    """The flags of both superblock slots of a durable file."""
+    with open(path, "rb") as f:
+        page_size = Superblock.decode(f.read(4096)).page_size
+        f.seek(0)
+        return {Superblock.decode(f.read(page_size)).flags
+                for _ in range(2)}
+
+
+def _legacy_journal_only(path):
+    """A new journaled store without checksums, as stores created it
+    while they journaled: both superblock slots flag the journal alone,
+    and pages carry no checksum trailer."""
+    with open(path, "wb") as f:
+        for seq in (2, 1):  # slot 0 holds the even sequence number
+            f.write(Superblock(page_size=PAGE, flags=FLAG_JOURNAL,
+                               seq=seq).encode())
+    return path
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -175,12 +201,11 @@ class TestFileSpecific:
 
 
 class TestDurableFile:
-    """Checksums + journal + superblock (the opt-in durability layer)."""
+    """Checksums + superblock (the opt-in durability layer), and the
+    files stores wrote while they could journal page writes."""
 
-    def _durable(self, tmp_path, name="d.pages", **kw):
-        kw.setdefault("checksums", True)
-        kw.setdefault("journal", True)
-        return FilePageStore(tmp_path / name, PAGE, **kw)
+    def _durable(self, tmp_path, name="d.pages"):
+        return FilePageStore(tmp_path / name, PAGE, checksums=True)
 
     def _payload(self, store, fill=b"v"):
         return fill * store.payload_size + b"\x00" * TRAILER_SIZE
@@ -195,7 +220,7 @@ class TestDurableFile:
             s.write_page(pid, self._payload(s))
             path = s.path
         with FilePageStore.open_existing(path) as s2:
-            assert s2.checksums and s2.journal_enabled
+            assert s2.checksums
             assert s2.page_count == 1
             assert s2.read_page(0) == self._payload(s2)
 
@@ -217,10 +242,38 @@ class TestDurableFile:
             assert s.checksum_failures == 1
 
     def test_flag_mismatch_on_reopen_rejected(self, tmp_path):
-        with self._durable(tmp_path, journal=False) as s:
-            path = s.path
+        path = _legacy_journal_only(tmp_path / "legacy.pages")
         with pytest.raises(StoreError, match="flags"):
-            FilePageStore(path, PAGE, checksums=True, journal=True)
+            FilePageStore(path, PAGE, checksums=True)
+
+    def test_legacy_journal_only_file_opens(self, tmp_path):
+        path = _legacy_journal_only(tmp_path / "legacy.pages")
+        with FilePageStore.open_existing(path) as s:
+            assert not s.checksums and s.supports_tree_meta
+            s.write_page(s.allocate(), b"j" * PAGE)
+        with FilePageStore(path, PAGE) as s:
+            assert s.read_page(0) == b"j" * PAGE
+        # Each close committed one slot without the journal flag.
+        assert _superblock_flags(path) == {0}
+
+    @pytest.mark.parametrize("writer", ["store", "journal-keyword",
+                                        "repro-build"])
+    def test_fresh_file_is_never_journaled(self, tmp_path, writer):
+        """No writer sets the journal flag or leaves a sidecar — not even
+        a caller still passing the ignored ``journal=`` keyword, as the
+        benchmark's traced build does."""
+        path = tmp_path / "tree.rt"
+        if writer == "repro-build":
+            from repro.cli import main
+            assert main(["build", str(path), "--size", "2000",
+                         "--capacity", "50", "--workers", "1",
+                         "--no-manifest"]) == 0
+        else:
+            extra = {"journal": True} if writer == "journal-keyword" else {}
+            with FilePageStore(path, PAGE, checksums=True, **extra) as s:
+                s.write_page(s.allocate(), self._payload(s))
+        assert _superblock_flags(path) == {FLAG_CHECKSUMS}
+        assert os.listdir(tmp_path) == ["tree.rt"]
 
     def test_plain_open_of_durable_file_rejected(self, tmp_path):
         with self._durable(tmp_path) as s:
@@ -240,7 +293,7 @@ class TestDurableFile:
         with self._durable(tmp_path) as s:
             path = s.path
         with pytest.raises(StoreError, match="page size"):
-            FilePageStore(path, PAGE * 2, checksums=True, journal=True)
+            FilePageStore(path, PAGE * 2, checksums=True)
 
     def test_tree_meta_roundtrip(self, tmp_path):
         meta = {"height": 2, "root_page": 4, "ndim": 2,
