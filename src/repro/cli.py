@@ -252,11 +252,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              "serves in-process (default 0)")
     parser.add_argument("--staging", default=None, metavar="DIR",
                         help="build: staging directory for shard runs and "
-                             "checkpoints (default: <tree-file>.staging)")
+                             "done records (default: <tree-file>.staging)")
     parser.add_argument("--resume", action="store_true",
                         help="build: resume from an existing staging "
-                             "directory, re-running only shards without a "
-                             "verified checkpoint")
+                             "directory, re-running only shards whose done "
+                             "record or run files do not verify")
     parser.add_argument("--keep-staging", action="store_true",
                         help="build: keep the staging directory after a "
                              "successful build (debugging/CI artifacts)")
@@ -450,10 +450,11 @@ def _run_fsck(args: argparse.Namespace, argv: list[str]) -> int:
 def _open_tree(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Reattach the tree at ``args.target`` (durable or sidecar-described)."""
     from .rtree.paged import PagedRTree
+    from .storage.integrity import looks_like_superblock
     from .storage.store import FilePageStore
 
     with open(args.target, "rb") as f:
-        durable = f.read(4)[:4] == b"RSUP"
+        durable = looks_like_superblock(f.read(4))
     if durable:
         store = FilePageStore.open_existing(args.target)
         return PagedRTree.from_store(store)

@@ -43,6 +43,7 @@ from .rtree.validate import iter_paged_violations
 from .storage.integrity import (
     ChecksumError,
     IntegrityError,
+    looks_like_superblock,
     trailer_info,
     verify_trailer,
 )
@@ -243,7 +244,7 @@ def _fsck_store(path: str | os.PathLike, *,
             return report
 
     with open(path, "rb") as f:
-        durable = f.read(4)[:4] == b"RSUP"
+        durable = looks_like_superblock(f.read(4))
 
     store: FilePageStore | None = None
     try:

@@ -42,8 +42,8 @@ import numpy as np
 from ..core.geometry import RectArray
 from ..core.packing import SortTileRecursive
 from ..obs import runtime as obs
-from ..pipeline.staging import atomic_write_bytes, check_record_crc, \
-    record_crc
+from ..pipeline.staging import atomic_write_bytes, parse_record, \
+    stamp_record
 from ..rtree.bulk import bulk_load
 from ..rtree.paged import PagedRTree
 from ..storage.faults import CrashPlan
@@ -109,21 +109,14 @@ def read_pointer(dir_path: str) -> GenerationPointer | None:
     path = os.path.join(dir_path, POINTER_NAME)
     try:
         with open(path, "rb") as f:
-            payload = json.load(f)
+            data = f.read()
     except FileNotFoundError:
         return None
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise IngestError(f"{path}: unreadable generation pointer "
                           f"({exc})") from exc
-    if not isinstance(payload, dict):
-        raise IngestError(f"{path}: not a generation pointer document")
-    if payload.get("format") not in _POINTER_FORMATS:
-        raise IngestError(
-            f"{path}: unsupported generation pointer format "
-            f"{payload.get('format')!r} (this build reads "
-            f"{', '.join(_POINTER_FORMATS)})")
-    if not check_record_crc(payload):
-        raise IngestError(f"{path}: generation pointer fails its CRC")
+    payload = parse_record(data, _POINTER_FORMATS,
+                           f"{path}: generation pointer", IngestError)
     try:
         return GenerationPointer(
             generation=int(payload["generation"]),
@@ -139,14 +132,12 @@ def read_pointer(dir_path: str) -> GenerationPointer | None:
 def _write_pointer(dir_path: str, pointer: GenerationPointer, *,
                    crash_plan: CrashPlan | None = None) -> None:
     """Atomically publish the pointer — the merge's commit point."""
-    record: dict[str, object] = {
-        "format": POINTER_FORMAT,
+    record = stamp_record({
         "generation": pointer.generation,
         "path": pointer.path,
         "merged_seq": pointer.merged_seq,
         "merged_lsn": pointer.merged_lsn,
-    }
-    record["crc"] = record_crc(record)
+    }, POINTER_FORMAT)
     data = (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
     path = os.path.join(dir_path, POINTER_NAME)
     if crash_plan is not None:

@@ -4,11 +4,12 @@ Every ``insert``/``delete`` the server acks is first appended — and
 fsynced — to one of these logs, so an acked write survives any crash.
 The format deliberately reuses the repo's two proven durability idioms:
 
-* each record is one NDJSON line carrying its own checksum over the
-  canonical record body (:func:`repro.pipeline.staging.record_crc`),
-  exactly like the build pipeline's checkpoint log.  The record's
-  ``format`` tag names the checksum version it was stamped with, so a
-  segment written by an older build can gain current-version appends;
+* each record is one NDJSON line in the repo's CRC'd JSON record
+  format (:func:`repro.pipeline.staging.stamp_record` and
+  :func:`~repro.pipeline.staging.parse_record`), the same format as the
+  build plan and its shard done records.  The record's ``format`` tag
+  names the checksum version it was stamped with, so a segment written
+  by an older build can gain current-version appends;
 * on open, a *torn tail* — the one partial line a SIGKILL mid-append
   can leave — is silently discarded (it was never acked) and physically
   truncated away, while corruption anywhere **before** the tail means
@@ -30,15 +31,14 @@ the same order, which is what makes the background merge reproducible
 
 from __future__ import annotations
 
+import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Sequence
-
-import json
+from typing import BinaryIO, Iterator
 
 from ..core.geometry import GeometryError, Rect
-from ..pipeline.staging import check_record_crc, record_crc
+from ..pipeline.staging import parse_record, stamp_record
 from ..storage.faults import CrashPlan
 from ..storage.integrity import (
     CHECKSUM_VERSION,
@@ -215,21 +215,9 @@ class WalSegment:
             if sealed:
                 raise WalCorrupt(f"{where}: record after the seal — a "
                                  f"sealed segment must never grow")
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise WalCorrupt(
-                    f"{where}: unparseable WAL record ({exc})") from exc
-            if not isinstance(record, dict):
-                raise WalCorrupt(f"{where}: WAL record is not an object")
-            tag = record.get("format")
-            if not isinstance(tag, str) or tag not in _WAL_FORMATS:
-                raise WalCorrupt(
-                    f"{where}: unsupported record format {tag!r} (this "
-                    f"build reads {', '.join(_WAL_FORMATS)})")
-            if not check_record_crc(record):
-                raise WalCorrupt(f"{where}: WAL record fails its CRC")
-            versions[tag_version(tag)] += 1
+            record = parse_record(line, _WAL_FORMATS,
+                                  f"{where}: WAL record", WalCorrupt)
+            versions[tag_version(record["format"])] += 1
             if record.get("op") == "seal":
                 count = record.get("count")
                 last = record.get("last_lsn")
@@ -259,11 +247,7 @@ class WalSegment:
 
 
 def _encode_record(body: dict[str, object]) -> bytes:
-    record = dict(body)
-    record["format"] = WAL_FORMAT
-    record.pop("crc", None)
-    record["crc"] = record_crc(record)
-    return (json.dumps(record, sort_keys=True,
+    return (json.dumps(stamp_record(body, WAL_FORMAT), sort_keys=True,
                        separators=(",", ":")) + "\n").encode()
 
 

@@ -9,11 +9,11 @@ else can publish a torn file that fsck then has to distrust.
 Flagged: any call to ``os.rename``, ``os.replace``, ``os.renames`` or
 ``shutil.move`` outside the blessed modules.
 
-Blessed (each implements or consumes the fsync-then-rename protocol):
-``pipeline/staging.py`` (the staging helpers themselves),
-``storage/store.py`` (superblock commit), and
-``core/packing/external.py`` (external-sort spill runs, crash-clean
-since PR 4).  New publication sites must call
+Blessed (each implements the fsync-then-rename protocol):
+``pipeline/staging.py`` (the staging helpers themselves) and
+``core/packing/external.py`` (the external sort's crash-clean spill
+runs).  The page store is not on the list: it commits by an in-place
+superblock write and renames nothing.  New publication sites must call
 :func:`repro.pipeline.staging.atomic_write_bytes` and friends instead
 of earning a spot on this list.
 """
@@ -32,7 +32,6 @@ BANNED = ("os.rename", "os.replace", "os.renames", "shutil.move")
 #: Modules allowed to move files into place.
 BLESSED = (
     "repro/pipeline/staging.py",
-    "repro/storage/store.py",
     "repro/core/packing/external.py",
 )
 

@@ -125,7 +125,6 @@ class DurabilityOrdering(Rule):
     path_fragments = (
         # the RL002-blessed rename modules…
         "repro/pipeline/staging.py",
-        "repro/storage/store.py",
         "repro/core/packing/external.py",
         # …and the ack points
         "repro/ingest/wal.py",

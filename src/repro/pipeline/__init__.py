@@ -5,15 +5,15 @@ worker processes without changing a single output byte: shards are
 STR's own top-level slabs, workers replay the serial per-slab
 recursion, and assembly reuses the serial upper-level packer.  Around
 that determinism it adds the production machinery — staged inputs,
-CRC-verified shard runs, an append-only checkpoint log, heartbeat
-supervision with capped retries, typed :class:`PoisonShard` failures,
-and ``resume`` that re-runs only what never checkpointed.
+CRC-verified shard runs whose done records are their checkpoints,
+heartbeat supervision with capped retries, typed :class:`PoisonShard`
+failures, and ``resume`` that re-runs only the shards that do not
+verify.
 
 Entry points: :func:`parallel_bulk_load` (library) and
 ``python -m repro build`` (CLI).
 """
 
-from .checkpoint import CheckpointError, CheckpointLog
 from .orchestrator import (
     PipelineError,
     PipelineReport,
@@ -26,8 +26,6 @@ from .worker import InjectedWorkerFault
 
 __all__ = [
     "BuildPlan",
-    "CheckpointError",
-    "CheckpointLog",
     "InjectedWorkerFault",
     "ResumeMismatch",
     "PipelineError",

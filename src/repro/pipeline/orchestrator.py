@@ -1,4 +1,4 @@
-"""Fault-tolerant sharded bulk load: supervise, checkpoint, assemble.
+"""Fault-tolerant sharded bulk load: supervise, verify, assemble.
 
 :func:`parallel_bulk_load` is the multi-process twin of
 :func:`repro.rtree.bulk.bulk_load` with three extra guarantees:
@@ -13,18 +13,19 @@ a 7-worker build and a serial ``bulk_load`` produce the same bytes in
 the same page ids.
 
 **Crash tolerance.**  All intermediate state lives in a staging
-directory under CRC-verified, atomically-published files; the
-orchestrator appends one fsynced checkpoint record per shard *after*
-verifying the worker's output.  Kill anything — worker or orchestrator,
-any instant — and ``resume=True`` re-runs exactly the shards without a
-verified checkpoint.  Workers that die or stop heartbeating are retried
-up to ``max_attempts`` times; a shard that keeps failing raises a typed
+directory under CRC-verified, atomically-published files.  A shard's
+checkpoint is its worker's done record, published after the run files
+it checksums: a shard is done exactly when that record and its run
+files verify.  Kill anything — worker or orchestrator, any instant —
+and ``resume=True`` re-runs exactly the shards that do not verify.
+Workers that die or stop heartbeating are retried up to
+``max_attempts`` times; a shard that keeps failing raises a typed
 :class:`PoisonShard` (staging kept, ``poison.json`` written) rather
 than ever committing a partial tree.
 
 **Observability.**  Every worker ships its own
 :class:`~repro.obs.metrics.MetricsRegistry` home inside its done
-record; the orchestrator merges them (checkpointed shards included, so
+record; the orchestrator merges them (resumed shards included, so
 resumed builds keep the metrics of work done before the crash) and
 returns the merged registry in the :class:`PipelineReport` for the run
 manifest.
@@ -52,7 +53,6 @@ from ..rtree.paged import PagedRTree
 from ..storage.counters import IOStats
 from ..storage.page import required_page_size
 from ..storage.store import MemoryPageStore, PageStore
-from .checkpoint import CHECKPOINT_NAME, CheckpointLog
 from .plan import (
     BuildPlan,
     ResumeMismatch,
@@ -64,9 +64,10 @@ from .plan import (
 )
 from .staging import (
     StagingDir,
+    StagingError,
     atomic_write_json,
-    check_record_crc,
     file_checksum,
+    parse_record,
 )
 from . import worker as shard_worker
 
@@ -85,7 +86,7 @@ class PipelineError(RTreeError):
 class PoisonShard(PipelineError):
     """A shard failed every allowed attempt.
 
-    The staging directory is kept (healthy shards' checkpoints survive)
+    The staging directory is kept (healthy shards' done records survive)
     and ``poison.json`` records the diagnosis; fixing the cause and
     re-running with ``resume=True`` only re-executes the poisoned shard.
     """
@@ -111,7 +112,7 @@ class PipelineReport:
     workers: int
     #: Failed attempts per shard (shards absent never failed).
     retries: dict[int, int]
-    #: Shards found already checkpointed by a resume.
+    #: Shards a resume found already done (record and runs verified).
     resumed_shards: tuple[int, ...]
     #: Merged per-shard worker registries + orchestrator counters.
     metrics: MetricsRegistry = field(compare=False)
@@ -121,15 +122,14 @@ class PipelineReport:
 def _verify_shard_output(staging: StagingDir, shard: int,
                          plan: BuildPlan, record: dict | None
                          ) -> tuple[dict | None, str]:
-    """Validate a done/checkpoint record against the published files.
+    """Validate a shard's done record against the plan and the
+    published files.
 
     Returns ``(record, "")`` when the shard's output is provably
     complete, else ``(None, reason)``.
     """
     if record is None:
-        return None, "no completion record"
-    if not check_record_crc(record):
-        return None, "completion record fails its CRC"
+        return None, "no valid done record"
     if int(record.get("shard", -1)) != shard:
         return None, f"record names shard {record.get('shard')}"
     if int(record.get("fingerprint", -1)) != plan.fingerprint:
@@ -155,17 +155,15 @@ def _verify_shard_output(staging: StagingDir, shard: int,
 
 
 def _load_done_record(staging: StagingDir, shard: int) -> dict | None:
-    import json
-
+    """The shard's done record, or ``None`` when it is missing or fails
+    its checks (the shard is then re-run)."""
     path = staging.file(shard_worker.done_name(shard))
     try:
-        with open(path) as f:
-            record = json.load(f)
-    except (OSError, json.JSONDecodeError):
+        with open(path, "rb") as f:
+            return parse_record(f.read(), (shard_worker.DONE_FORMAT,),
+                                f"{path}: done record")
+    except (OSError, StagingError):
         return None
-    if record.get("format") != shard_worker.DONE_FORMAT:
-        return None
-    return record
 
 
 def _failure_reason(staging: StagingDir, shard: int, fallback: str) -> str:
@@ -181,10 +179,10 @@ def _failure_reason(staging: StagingDir, shard: int, fallback: str) -> str:
 class _Supervisor:
     """Runs pending shards under process supervision with retries."""
 
-    def __init__(self, staging: StagingDir, plan: BuildPlan,
-                 checkpoint: CheckpointLog, *, workers: int,
-                 heartbeat_s: float, deadline_s: float, max_attempts: int,
-                 fault: dict | None, throttle_s: float, poll_s: float,
+    def __init__(self, staging: StagingDir, plan: BuildPlan, *,
+                 workers: int, heartbeat_s: float, deadline_s: float,
+                 max_attempts: int, fault: dict | None, throttle_s: float,
+                 poll_s: float,
                  wall_clock: Callable[[], float] = time.time):
         # Injected wall clock: heartbeat files carry wall-clock mtimes,
         # so calibrating against the monotonic clock needs one wall
@@ -192,7 +190,6 @@ class _Supervisor:
         self.wall_clock = wall_clock
         self.staging = staging
         self.plan = plan
-        self.checkpoint = checkpoint
         self.workers = workers
         self.heartbeat_s = heartbeat_s
         self.deadline_s = deadline_s
@@ -211,10 +208,6 @@ class _Supervisor:
             return None
         attempt = self.attempts.get(shard, 0)
         return plan[attempt] if attempt < len(plan) else None
-
-    def _record_success(self, shard: int, record: dict) -> None:
-        self.checkpoint.append(record)
-        obs.inc("pipeline.shards_checkpointed")
 
     def _record_failure(self, shard: int, reason: str,
                         pending: deque) -> None:
@@ -262,7 +255,7 @@ class _Supervisor:
             if record is None:
                 self._record_failure(shard, reason, pending)
             else:
-                self._record_success(shard, record)
+                obs.inc("pipeline.shards_verified")
 
     # -- subprocess mode -----------------------------------------------------
 
@@ -337,7 +330,7 @@ class _Supervisor:
                         self.staging, shard, self.plan,
                         _load_done_record(self.staging, shard))
                     if record is not None:
-                        self._record_success(shard, record)
+                        obs.inc("pipeline.shards_verified")
                     else:
                         self._record_failure(
                             shard,
@@ -356,11 +349,12 @@ class _Supervisor:
                         proc.join()
 
 
-def _assemble(staging: StagingDir, plan: BuildPlan,
-              checkpoint: CheckpointLog, store: PageStore
-              ) -> tuple[PagedRTree, BulkLoadReport]:
-    """Write checkpointed shard runs into the store and pack upward."""
+def _assemble(staging: StagingDir, plan: BuildPlan, store: PageStore
+              ) -> tuple[PagedRTree, BulkLoadReport, list[dict]]:
+    """Write verified shard runs into the store and pack upward; also
+    returns the shards' done records, in slab order."""
     build_io = store.stats.snapshot()
+    records: list[dict] = []
     page_ids: list[int] = []
     mbr_los: list[np.ndarray] = []
     mbr_his: list[np.ndarray] = []
@@ -368,10 +362,11 @@ def _assemble(staging: StagingDir, plan: BuildPlan,
                   leaf_pages=plan.leaf_pages):
         for shard in range(plan.shard_count):
             record, reason = _verify_shard_output(
-                staging, shard, plan, checkpoint.records.get(shard))
+                staging, shard, plan, _load_done_record(staging, shard))
             if record is None:
                 raise PipelineError(
                     f"cannot assemble: shard {shard} {reason}")
+            records.append(record)
             with open(staging.file(shard_worker.run_name(shard)),
                       "rb") as f:
                 blob = f.read()
@@ -406,7 +401,7 @@ def _assemble(staging: StagingDir, plan: BuildPlan,
         leaf_pages=plan.leaf_pages,
         build_io=io_delta,
     )
-    return tree, report
+    return tree, report, records
 
 
 def parallel_bulk_load(
@@ -426,21 +421,23 @@ def parallel_bulk_load(
     keep_staging: bool = False,
     poll_s: float = 0.05,
 ) -> tuple[PagedRTree, PipelineReport]:
-    """Bulk-load an R-tree with sharded workers and resumable checkpoints.
+    """Bulk-load an R-tree with sharded workers, resumable per shard.
 
     Parameters mirror :func:`repro.rtree.bulk.bulk_load` plus:
 
     staging_path:
-        Directory for staged input, shard runs and the checkpoint log.
+        Directory for staged input, shard runs and done records.
         Survives any crash; removed only after a successful build
         (unless ``keep_staging``).
     workers:
         Concurrent worker processes; ``0`` runs shards inline in this
-        process (fast, still checkpointed — the property tests' mode).
+        process (fast, still staged and verified — the property tests'
+        mode).
     resume:
         Re-open an existing staging directory: the plan is CRC-verified
         against ``rects`` (or trusted from staging when ``rects`` is
-        ``None``), checkpointed shards are skipped, the rest re-run.
+        ``None``), shards whose done record and run files verify are
+        skipped, the rest re-run.
     heartbeat_s / deadline_s / max_attempts:
         Liveness cadence, staleness deadline, and per-shard attempt cap
         before :class:`PoisonShard`.
@@ -523,12 +520,11 @@ def parallel_bulk_load(
                 inputs = stage_input(staging, plan, rects, ids, xorder)
                 write_plan(staging, plan, inputs)
 
-        checkpoint = CheckpointLog(staging.file(CHECKPOINT_NAME))
         resumed: list[int] = []
         pending: list[int] = []
         for shard in range(plan.shard_count):
             record, _ = _verify_shard_output(
-                staging, shard, plan, checkpoint.records.get(shard))
+                staging, shard, plan, _load_done_record(staging, shard))
             if record is not None:
                 resumed.append(shard)
             else:
@@ -537,7 +533,7 @@ def parallel_bulk_load(
         obs.set_gauge("pipeline.shards_resumed", len(resumed))
 
         supervisor = _Supervisor(
-            staging, plan, checkpoint, workers=workers,
+            staging, plan, workers=workers,
             heartbeat_s=heartbeat_s, deadline_s=deadline_s,
             max_attempts=max_attempts, fault=fault,
             throttle_s=throttle_s, poll_s=poll_s,
@@ -549,11 +545,11 @@ def parallel_bulk_load(
             else:
                 supervisor.run_processes(pending)
 
-        tree, bulk_report = _assemble(staging, plan, checkpoint, store)
+        tree, bulk_report, records = _assemble(staging, plan, store)
 
         merged = MetricsRegistry()
-        for shard in range(plan.shard_count):
-            dump = checkpoint.records[shard].get("metrics")
+        for record in records:
+            dump = record.get("metrics")
             if dump:
                 merged.merge(MetricsRegistry.from_jsonable(dump))
         merged.counter("pipeline.shard_retries").inc(

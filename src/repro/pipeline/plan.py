@@ -26,7 +26,6 @@ build against different data, capacity or page size is a
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -40,9 +39,9 @@ from .staging import (
     StagingError,
     atomic_save_npy,
     atomic_write_json,
-    check_record_crc,
     file_checksum,
-    record_crc,
+    parse_record,
+    stamp_record,
 )
 
 __all__ = [
@@ -174,8 +173,8 @@ def write_plan(staging: StagingDir, plan: BuildPlan,
     """Atomically publish ``plan.json`` (CRC-covered)."""
     record = plan.as_dict()
     record["inputs"] = inputs
-    record["crc"] = record_crc(record)
-    return atomic_write_json(staging.file("plan.json"), record)
+    return atomic_write_json(staging.file("plan.json"),
+                             stamp_record(record, PLAN_FORMAT))
 
 
 def load_plan(staging: StagingDir, *, verify_inputs: bool = True
@@ -188,19 +187,14 @@ def load_plan(staging: StagingDir, *, verify_inputs: bool = True
     """
     path = staging.file("plan.json")
     try:
-        with open(path) as f:
-            record = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
         raise ResumeMismatch(f"{path}: unreadable plan ({exc})") from exc
-    if record.get("format") != PLAN_FORMAT:
-        # Includes plans from another checksum version: staging is
-        # rebuilt, never re-verified under an older format.
-        raise ResumeMismatch(
-            f"{path}: not a {PLAN_FORMAT} file "
-            f"(format={record.get('format')!r}); rebuild without resume"
-        )
-    if not check_record_crc(record):
-        raise ResumeMismatch(f"{path}: plan record fails its CRC")
+    # Only the current tag: a plan from another checksum version means
+    # rebuilding the staging, never re-verifying it under an older one.
+    record = parse_record(data, (PLAN_FORMAT,), f"{path}: plan record",
+                          ResumeMismatch)
     plan = BuildPlan(
         count=int(record["count"]),
         ndim=int(record["ndim"]),

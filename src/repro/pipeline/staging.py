@@ -2,7 +2,7 @@
 
 Everything the parallel build pipeline persists before its final commit
 lives in one *staging directory*: the staged input arrays, the shard
-plan, per-shard leaf runs, heartbeat files and the checkpoint log.  The
+plan, per-shard leaf runs and done records, and heartbeat files.  The
 rules that make a staging directory crash-safe are small and uniform:
 
 * every durable file is written to a unique ``*.tmp-<pid>`` sibling and
@@ -21,6 +21,12 @@ rules that make a staging directory crash-safe are small and uniform:
 
 The same primitives back the external sorter's crash-clean spill runs
 (:mod:`repro.core.packing.external`).
+
+This module also owns the *CRC'd JSON record*, the one format behind
+``plan.json``, the shard done records, the ingest WAL's lines and its
+generation pointer: a JSON object whose ``format`` tag names what it
+is and its checksum version, and whose ``crc`` covers the rest.
+:func:`stamp_record` makes one; :func:`parse_record` reads one back.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ __all__ = [
     "file_checksum",
     "record_crc",
     "check_record_crc",
+    "stamp_record",
+    "parse_record",
 ]
 
 
@@ -129,6 +137,37 @@ def check_record_crc(record: dict) -> bool:
             and record["crc"] == record_crc(record)
     except IntegrityError:
         return False
+
+
+def stamp_record(body: dict, tag: str) -> dict:
+    """``body`` tagged ``format=tag`` and stamped with its ``crc``.
+
+    Callers serialise the result with ``sort_keys=True``, so the key
+    order here never reaches the bytes."""
+    record = {k: v for k, v in body.items() if k != "crc"}
+    record["format"] = tag
+    record["crc"] = record_crc(record)
+    return record
+
+
+def parse_record(data: bytes | str, tags: tuple[str, ...], what: str,
+                 error: type[Exception] = StagingError) -> dict:
+    """Parse one stamped record and check it: a JSON object, tagged with
+    one of ``tags``, whose ``crc`` matches.  Any failure raises
+    ``error`` with a message that starts with ``what``."""
+    try:
+        record = json.loads(data)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise error(f"{what} is not JSON ({exc})") from exc
+    if not isinstance(record, dict):
+        raise error(f"{what} is not a JSON object")
+    tag = record.get("format")
+    if tag not in tags:
+        raise error(f"{what} has unsupported format {tag!r} (this build "
+                    f"reads {', '.join(tags)})")
+    if not check_record_crc(record):
+        raise error(f"{what} fails its CRC")
+    return record
 
 
 class StagingDir:

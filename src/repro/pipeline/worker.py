@@ -14,11 +14,12 @@ ordinary page codec, and publishes three files atomically:
   and record counts, run-file CRCs, the plan fingerprint, and the
   worker's serialized :class:`~repro.obs.metrics.MetricsRegistry`).
 
-The done record is published *last*; the orchestrator treats a shard as
-complete only when the done record validates **and** the run files
-match its CRCs, so a worker killed at any instant leaves either nothing
-or a fully verifiable result.  Liveness is a heartbeat file touched by
-a daemon thread; a worker that stops heartbeating past the deadline is
+The done record is published *last* and is the shard's only checkpoint:
+the orchestrator (and any later resume) treats a shard as complete only
+when the done record validates **and** the run files match its CRCs, so
+a worker killed at any instant leaves either nothing or a fully
+verifiable result.  Liveness is a heartbeat file touched by a daemon
+thread; a worker that stops heartbeating past the deadline is
 terminated and retried by the supervisor.
 
 Fault injection (for the crash tests and the CI kill matrix) is explicit
@@ -50,7 +51,7 @@ from .staging import (
     atomic_write_bytes,
     atomic_write_json,
     file_checksum,
-    record_crc,
+    stamp_record,
 )
 
 __all__ = [
@@ -225,8 +226,7 @@ def run_shard(
         )
         run_crc, run_bytes = file_checksum(run_path)
         mbrs_crc, mbrs_bytes = file_checksum(mbrs_path)
-        record = {
-            "format": DONE_FORMAT,
+        record = stamp_record({
             "shard": shard,
             "attempt": attempt,
             "records": len(ordered_rects),
@@ -237,8 +237,7 @@ def run_shard(
             "mbrs_bytes": mbrs_bytes,
             "fingerprint": fingerprint,
             "metrics": metrics.to_jsonable(),
-        }
-        record["crc"] = record_crc(record)
+        }, DONE_FORMAT)
         # Published last: its existence asserts the run files above are
         # complete, and its CRCs let the supervisor prove it.
         atomic_write_json(os.path.join(staging_path, done_name(shard)),

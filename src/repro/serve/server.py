@@ -69,7 +69,7 @@ import time
 from collections import Counter as TallyCounter
 from concurrent.futures import ThreadPoolExecutor
 from threading import Lock
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from ..core.geometry import GeometryError, Rect
 from ..ingest.overlay import OverlaySearcher
@@ -79,7 +79,7 @@ from ..obs import runtime as obs
 from ..obs.slo import RollingWindow, SloTarget
 from ..rtree.paged import PagedRTree
 from ..storage.breaker import CircuitBreaker
-from ..storage.integrity import IntegrityError
+from ..storage.integrity import IntegrityError, looks_like_superblock
 from ..storage.page import PageFormatError
 from ..storage.store import StoreError
 from .admission import AdmissionController
@@ -87,9 +87,6 @@ from .deadline import Deadline
 from .health import healthz_payload, readyz_payload, stats_payload
 from .pool import PoolUnavailable, TreeSpec, WorkerPool
 from .query import execute, payload_for
-if TYPE_CHECKING:
-    from ..ingest.merge import MergeReport
-
 from .protocol import (
     PROTOCOL_VERSION,
     QUERY_OPS,
@@ -384,7 +381,8 @@ class QueryServer:
         the old generation serving and raises typed ``MergeFailed``; a
         cutover that fails after it (say ``ReloadRejected``) also keeps
         the old generation serving, with the frozen layers folded back
-        so the next merge can run.
+        so the next merge can run — and cut over to the committed
+        generation even when nothing new was sealed.
         """
         ingest = self.ingest
         if ingest is None:
@@ -400,7 +398,7 @@ class QueryServer:
             await loop.run_in_executor(self._executor,
                                        self._begin_merge_blocking)
         try:
-            report = await loop.run_in_executor(
+            cutover = await loop.run_in_executor(
                 self._executor, self._merge_blocking)
         except Exception as exc:
             # Any failure before cutover (a typed IngestError, ENOSPC,
@@ -409,7 +407,7 @@ class QueryServer:
             with self._search_lock:
                 ingest.abort_merge()
             raise MergeFailed(f"{type(exc).__name__}: {exc}") from None
-        if report is None:
+        if cutover is None:
             with self._search_lock:
                 ingest.abort_merge()
             return Response(id=req.id, ok=True, op="merge",
@@ -417,7 +415,7 @@ class QueryServer:
                                   "generation": self.generation})
         try:
             data = await loop.run_in_executor(
-                self._executor, self._cutover_blocking, report)
+                self._executor, self._cutover_blocking, *cutover)
         except Exception:
             with self._search_lock:
                 ingest.abort_merge()
@@ -432,14 +430,37 @@ class QueryServer:
         with self._search_lock:
             ingest.begin_merge()
 
-    def _merge_blocking(self) -> MergeReport | None:
-        from ..ingest.merge import merge_segments
+    def _merge_blocking(self) -> tuple[str, int, dict] | None:
+        """Drain the sealed WAL into a new generation; returns what to
+        cut over to — ``(generation path, drained segment seq, merge
+        summary)`` — or ``None`` when there is nothing to do.
+
+        With nothing new sealed, the committed pointer may still name a
+        generation this server does not serve: a cutover rejected after
+        the pointer commit.  That generation already holds the drained
+        ops, so the cutover is all that is left of its merge.
+        """
+        from ..ingest.merge import merge_segments, resolve_current
 
         ingest = self.ingest
         assert ingest is not None
-        return merge_segments(ingest.tree_path)
+        report = merge_segments(ingest.tree_path)
+        if report is not None:
+            return report.path, report.merged_seq, {
+                "ops_applied": report.ops_applied,
+                "segments": report.segments_merged,
+                "merged_lsn": report.merged_lsn,
+            }
+        path, pointer = resolve_current(ingest.tree_path)
+        if pointer is None or path == self.generation_path:
+            return None
+        return path, pointer.merged_seq, {
+            "ops_applied": 0, "segments": 0,
+            "merged_lsn": pointer.merged_lsn,
+        }
 
-    def _cutover_blocking(self, report: MergeReport) -> dict:
+    def _cutover_blocking(self, path: str, merged_seq: int,
+                          merge: dict) -> dict:
         """Swap in the merged generation and drop the frozen layers.
 
         Reuses the reload path (fsck, open, swap under the search
@@ -451,16 +472,11 @@ class QueryServer:
         """
         ingest = self.ingest
         assert ingest is not None
-        data = self._reload_blocking(report.path)
+        data = self._reload_blocking(path)
         with self._search_lock:
-            ingest.finish_merge(report.merged_seq)
+            ingest.finish_merge(merged_seq)
         data["merged"] = True
-        data["merge"] = {
-            "ops_applied": report.ops_applied,
-            "segments": report.segments_merged,
-            "merged_lsn": report.merged_lsn,
-            "size": report.size,
-        }
+        data["merge"] = {**merge, "size": data["tree"]["size"]}
         return data
 
     # -- generation reload -------------------------------------------------
@@ -525,7 +541,7 @@ class QueryServer:
 
         try:
             with open(path, "rb") as f:
-                durable = f.read(4) == b"RSUP"
+                durable = looks_like_superblock(f.read(4))
         except OSError as exc:
             raise ReloadRejected(f"cannot read {path}: {exc}") from None
         if not durable:

@@ -108,12 +108,21 @@ def test_rl002_flags_raw_renames_anywhere(engine, source, fn):
 
 @pytest.mark.parametrize("blessed", [
     "src/repro/pipeline/staging.py",
-    "src/repro/storage/store.py",
     "src/repro/core/packing/external.py",
 ])
 def test_rl002_blessed_modules_may_rename(engine, blessed):
     source = "import os\nos.replace('a.tmp', 'a')\n"
     assert findings_for(engine, blessed, source, "RL002") == []
+
+
+def test_rl002_flags_a_rename_in_the_page_store(engine):
+    # The store commits by superblock write and renames nothing, so it
+    # is not blessed: a rename there is as suspect as anywhere else.
+    source = "import os\nos.replace('a.tmp', 'a')\n"
+    found = findings_for(engine, "src/repro/storage/store.py", source,
+                         "RL002")
+    assert len(found) == 1
+    assert "os.replace" in found[0].message
 
 
 def test_rl002_ignores_non_rename_os_calls(engine):

@@ -98,7 +98,7 @@ def test_poison_shard_is_typed_and_resumable(tmp_path, rng):
     assert poison.shard == 2
     assert poison.attempts == 3
     # Never silent data loss: staging (with every healthy shard's
-    # checkpoint) survives, and the diagnosis is on disk.
+    # done record) survives, and the diagnosis is on disk.
     assert staging.exists()
     assert (staging / "poison.json").exists()
 
@@ -160,7 +160,7 @@ def test_damaged_run_file_is_detected_and_rerun(tmp_path, rng):
     staging = tmp_path / "staging"
     parallel_bulk_load(rects, capacity=CAPACITY, workers=0,
                        staging_path=staging, keep_staging=True)
-    # Corrupt one published shard run behind the checkpoint's back.
+    # Corrupt one published shard run behind its done record's back.
     run = staging / "shard-0001.run.bin"
     blob = bytearray(run.read_bytes())
     blob[100] ^= 0xFF
@@ -170,6 +170,84 @@ def test_damaged_run_file_is_detected_and_rerun(tmp_path, rng):
     tree, report = parallel_bulk_load(
         capacity=CAPACITY, workers=0, staging_path=staging, resume=True)
     assert 1 not in report.resumed_shards
+    assert len(report.resumed_shards) == report.plan.shard_count - 1
+    assert_same_store(tree, _serial(rects))
+
+
+def test_verified_done_records_resume_without_a_log(tmp_path, rng):
+    """A shard's done record is its checkpoint: a staging dir whose
+    shards all published verified done records resumes every shard,
+    whatever else the orchestrator did or did not write."""
+    rects = _dataset(rng)
+    staging = tmp_path / "staging"
+    parallel_bulk_load(rects, capacity=CAPACITY, workers=0,
+                       staging_path=staging, keep_staging=True)
+    # A kill after the workers published, before the orchestrator
+    # logged anything: only the done records are left.
+    (staging / "checkpoint.ndjson").unlink(missing_ok=True)
+    tree, report = parallel_bulk_load(
+        capacity=CAPACITY, workers=0, staging_path=staging, resume=True)
+    assert report.resumed_shards == tuple(range(report.plan.shard_count))
+    assert_same_store(tree, _serial(rects))
+
+
+def test_fresh_build_writes_no_checkpoint_log(tmp_path, rng):
+    staging = tmp_path / "staging"
+    _, report = parallel_bulk_load(_dataset(rng, n=500), capacity=CAPACITY,
+                                   workers=0, staging_path=staging,
+                                   keep_staging=True)
+    assert not (staging / "checkpoint.ndjson").exists()
+    assert len(list(staging.glob("shard-*.done.json"))) \
+        == report.plan.shard_count
+
+
+def test_torn_log_of_an_older_build_does_not_block_resume(tmp_path, rng):
+    """Staging from an older version may hold a ``checkpoint.ndjson``
+    log whose last line a kill tore.  Resume ignores the log, so a
+    resume that stops again (here poisoned) and the resume after it
+    both run from the done records and the tree comes out whole."""
+    rects = _dataset(rng)
+    staging = tmp_path / "staging"
+    # Shard 1 poisons; shard 3 has failed twice and is still pending.
+    with pytest.raises(PoisonShard):
+        parallel_bulk_load(rects, capacity=CAPACITY, workers=0,
+                           staging_path=staging,
+                           fault={1: ["crash"] * 3, 3: ["crash"] * 3})
+    with open(staging / "checkpoint.ndjson", "ab") as f:
+        f.write(b'{"shard": 1, "pag')  # the torn tail of a killed append
+    with pytest.raises(PoisonShard) as exc_info:
+        parallel_bulk_load(rects, capacity=CAPACITY, workers=0,
+                           staging_path=staging, resume=True,
+                           fault={3: ["crash"] * 3})
+    assert exc_info.value.shard == 3
+    tree, report = parallel_bulk_load(rects, capacity=CAPACITY, workers=0,
+                                      staging_path=staging, resume=True)
+    assert report.resumed_shards == tuple(
+        s for s in range(report.plan.shard_count) if s != 3)
+    assert_same_store(tree, _serial(rects))
+
+
+def test_plan_that_is_not_an_object_is_resume_mismatch(tmp_path, rng):
+    rects = _dataset(rng, n=500)
+    staging = tmp_path / "staging"
+    parallel_bulk_load(rects, capacity=CAPACITY, workers=0,
+                       staging_path=staging, keep_staging=True)
+    (staging / "plan.json").write_text("[]\n")
+    with pytest.raises(ResumeMismatch, match="not a JSON object"):
+        parallel_bulk_load(rects, capacity=CAPACITY, workers=0,
+                           staging_path=staging, resume=True)
+
+
+def test_done_record_that_is_not_an_object_reruns_its_shard(tmp_path, rng):
+    rects = _dataset(rng)
+    staging = tmp_path / "staging"
+    parallel_bulk_load(rects, capacity=CAPACITY, workers=0,
+                       staging_path=staging, keep_staging=True)
+    (staging / "shard-0002.done.json").write_text("[]\n")
+    tree, report = parallel_bulk_load(
+        rects, capacity=CAPACITY, workers=0, staging_path=staging,
+        resume=True)
+    assert 2 not in report.resumed_shards
     assert len(report.resumed_shards) == report.plan.shard_count - 1
     assert_same_store(tree, _serial(rects))
 

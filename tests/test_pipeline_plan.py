@@ -1,9 +1,8 @@
 """Unit tests for the pipeline's planning and durability primitives.
 
-Covers the shard plan's STR-alignment invariants, the atomic staging
-primitives every pipeline file goes through, and the checkpoint log's
-torn-tail semantics — the small pieces whose guarantees the crash tests
-in ``test_pipeline_build.py`` compose.
+Covers the shard plan's STR-alignment invariants and the atomic staging
+primitives every pipeline file goes through — the small pieces whose
+guarantees the crash tests in ``test_pipeline_build.py`` compose.
 """
 
 import json
@@ -13,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.geometry import RectArray
-from repro.pipeline import CheckpointError, CheckpointLog, ResumeMismatch
-from repro.pipeline.checkpoint import CHECKPOINT_NAME
+from repro.pipeline import ResumeMismatch
 from repro.pipeline.plan import (
     INPUT_FILES,
     load_plan,
@@ -28,7 +26,9 @@ from repro.pipeline.staging import (
     atomic_write_bytes,
     check_record_crc,
     file_checksum,
+    parse_record,
     record_crc,
+    stamp_record,
 )
 
 
@@ -132,6 +132,26 @@ def test_atomic_write_and_record_crc(tmp_path):
     assert not check_record_crc(record)
 
 
+def test_stamp_and_parse_record():
+    record = stamp_record({"a": 1, "crc": 5}, "repro-test-v2")
+    assert record["format"] == "repro-test-v2"
+    assert check_record_crc(record)
+    line = json.dumps(record, sort_keys=True)
+    assert parse_record(line, ("repro-test-v2",), "rec") == record
+    assert parse_record(line.encode(), ("repro-test-v2",), "rec") == record
+
+    tampered = json.dumps(dict(record, a=2))
+    for data, tags, phrase in [
+        (line, ("repro-test-v1",), "unsupported format 'repro-test-v2'"),
+        (tampered, ("repro-test-v2",), "fails its CRC"),
+        ("[]", ("repro-test-v2",), "not a JSON object"),
+        ('{"a": ', ("repro-test-v2",), "not JSON"),
+        (b"\xff", ("repro-test-v2",), "not JSON"),
+    ]:
+        with pytest.raises(ResumeMismatch, match=f"^rec .*{phrase}"):
+            parse_record(data, tags, "rec", ResumeMismatch)
+
+
 def test_staging_dir_lifecycle(tmp_path):
     path = tmp_path / "work"
     with StagingDir(path) as staging:
@@ -157,40 +177,3 @@ def test_staging_dir_lifecycle(tmp_path):
     assert staging.sweep_tmp() == 1
     assert staging.exists("good") and not staging.exists("bad.tmp-1234")
 
-
-# -- checkpoint log -----------------------------------------------------------
-
-
-def test_checkpoint_append_reload_and_torn_tail(tmp_path):
-    path = tmp_path / CHECKPOINT_NAME
-    log = CheckpointLog(path)
-    log.append({"shard": 0, "pages": 4})
-    log.append({"shard": 2, "pages": 5})
-    log.append({"shard": 0, "pages": 4, "attempt": 1})  # idempotent re-append
-
-    reloaded = CheckpointLog(path)
-    assert reloaded.completed_shards() == {0, 2}
-    assert reloaded.records[0]["attempt"] == 1
-    assert not reloaded.torn_tail
-
-    # SIGKILL mid-append: a torn final line is discarded, earlier
-    # records survive.
-    with open(path, "ab") as f:
-        f.write(b'{"shard": 7, "pages":')
-    torn = CheckpointLog(path)
-    assert torn.completed_shards() == {0, 2}
-    assert torn.torn_tail
-
-
-def test_checkpoint_rejects_mid_file_damage(tmp_path):
-    path = tmp_path / CHECKPOINT_NAME
-    log = CheckpointLog(path)
-    log.append({"shard": 0, "pages": 4})
-    log.append({"shard": 1, "pages": 4})
-    blob = open(path, "rb").read().splitlines(keepends=True)
-    # Corrupt the *first* line: that is at-rest damage, not a torn tail.
-    with open(path, "wb") as f:
-        f.write(blob[0][:10] + b"X" + blob[0][11:])
-        f.write(blob[1])
-    with pytest.raises(CheckpointError):
-        CheckpointLog(path)

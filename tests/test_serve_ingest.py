@@ -320,6 +320,60 @@ class TestMergeCutover:
         run(scenario())
         assert failures == ["merge", "reload"]
 
+    def test_merge_after_rejected_cutover_adopts_committed_generation(
+            self, tmp_path, monkeypatch):
+        """A cutover rejected after the pointer commit leaves the
+        committed generation unserved.  The next merge, even with
+        nothing new sealed, cuts over to it and drains the delta and
+        the WAL's pending count."""
+        tree_path = str(tmp_path / "tree.rt")
+        oracle = _build_base(tree_path, n=50)
+        tree, state = _open_serving(tree_path)
+        real_reload = QueryServer._reload_blocking
+        rejected = []
+
+        def reject_once(server, path):
+            if not rejected:
+                rejected.append(path)
+                raise ReloadRejected(f"fsck of {path} failed")
+            return real_reload(server, path)
+
+        monkeypatch.setattr(QueryServer, "_reload_blocking", reject_once)
+
+        async def scenario():
+            async with QueryServer(tree, ingest=state) as server:
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as c:
+                    for i in range(8000, 8005):
+                        (await c.insert(i, _rect(i))).raise_for_error()
+                        oracle[i] = (_rect(i).lo, _rect(i).hi)
+                    resp = await c.request(Request(op="merge"))
+                    assert resp.error == "ReloadRejected"
+                    committed, pointer = resolve_current(tree_path)
+                    assert pointer is not None
+                    assert rejected == [committed]
+                    assert server.generation_path != committed
+
+                    data = await c.merge()
+                    assert data["merged"] is True
+                    assert data["merge"]["ops_applied"] == 0
+                    assert data["merge"]["size"] == len(oracle)
+                    assert server.generation == 2
+                    assert server.generation_path == committed
+                    assert resolve_current(tree_path)[0] == committed
+                    health = await c.healthz()
+                    assert health["ingest"]["delta"]["live"] == 0
+                    assert health["ingest"]["wal"]["pending_ops"] == 0
+                    assert state.merging is False
+                    await _assert_oracle_exact(c, oracle)
+
+                    # Serving the committed generation, a merge with
+                    # nothing new is a no-op again.
+                    data = await c.merge()
+                    assert data["merged"] is False
+
+        run(scenario())
+
     def test_merge_with_nothing_pending_is_a_noop(self, tmp_path):
         tree_path = str(tmp_path / "tree.rt")
         _build_base(tree_path, n=50)
