@@ -22,7 +22,7 @@ import pytest
 
 from repro.experiments import cfd_tables, gis_tables, synthetic_tables, vlsi_tables
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
-from repro.experiments.report import Series, Table
+from repro.experiments.report import Series, Table, series_table
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
@@ -59,13 +59,7 @@ def cfd_cache(bench_config):
 
 def emit(name: str, result: Table | list[Series]) -> None:
     """Print the regenerated artefact and persist it under results/."""
-    if isinstance(result, list):  # figure series
-        table = Table(title=name, columns=("series", "x", "y"))
-        for line in result:
-            for label, x, y in line.as_table_rows():
-                table.add_row(label, x, y)
-    else:
-        table = result
+    table = series_table(name, result) if isinstance(result, list) else result
     text = table.render()
     print("\n" + text)
     os.makedirs(RESULTS_DIR, exist_ok=True)

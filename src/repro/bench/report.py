@@ -20,10 +20,9 @@ import json
 import os
 from typing import Sequence
 
-from ..experiments.report import Table
+from ..experiments.report import Table, timing_breakdown_table
 from ..obs.export import RUN_EXTENSIONS
 from ..obs.manifest import MANIFEST_FORMAT, RunManifest, load_manifest
-from ..obs.spans import PHASES
 from .schema import BENCH_FORMAT, BenchSchemaError, load_bench
 
 __all__ = [
@@ -112,35 +111,6 @@ def resolve_run_manifest(run_dir: str | os.PathLike,
 # -- manifest re-rendering ---------------------------------------------------
 
 
-def _phases_table(manifest: RunManifest) -> Table:
-    """The stored per-phase/per-span timings as a breakdown table."""
-    table = Table(
-        title="Phase timing breakdown (from stored manifest)",
-        columns=("phase / span", "count", "wall s", "cpu s", "% wall"),
-    )
-    phases = manifest.phases or {}
-    total = sum(p.get("wall_s", 0.0) for p in phases.values())
-    table.add_section("phases (self time)")
-    ordered = [p for p in PHASES if p in phases]
-    ordered += sorted(set(phases) - set(ordered))
-    for phase in ordered:
-        p = phases[phase]
-        pct = 100.0 * p.get("wall_s", 0.0) / total if total else 0.0
-        table.add_row(phase, int(p.get("count", 0)),
-                      round(p.get("wall_s", 0.0), 4),
-                      round(p.get("cpu_s", 0.0), 4), f"{pct:.1f}%")
-    spans = manifest.spans or {}
-    table.add_section("spans (inclusive time)")
-    for name in sorted(spans, key=lambda n: -spans[n].get("wall_s", 0.0)):
-        s = spans[name]
-        pct = 100.0 * s.get("wall_s", 0.0) / total if total else 0.0
-        table.add_row(f"{name} [{s.get('phase', '?')}]",
-                      int(s.get("count", 0)),
-                      round(s.get("wall_s", 0.0), 4),
-                      round(s.get("cpu_s", 0.0), 4), f"{pct:.1f}%")
-    return table
-
-
 def _flatten_metrics(metrics: dict) -> dict[str, object]:
     """Manifest metrics as flat ``name{labels}[.stat] -> value`` pairs."""
     flat: dict[str, object] = {}
@@ -207,7 +177,10 @@ def render_manifest_text(manifest: RunManifest) -> str:
         lines.append(f"output:      {key} = {value}")
     blocks = ["\n".join(lines)]
     if manifest.phases or manifest.spans:
-        blocks.append(_phases_table(manifest).render())
+        blocks.append(timing_breakdown_table(
+            manifest.phases or {}, manifest.spans or {},
+            title="Phase timing breakdown (from stored manifest)",
+        ).render())
     if manifest.metrics:
         blocks.append(_metrics_table(manifest).render())
     slo = _slo_lines(manifest)
@@ -312,12 +285,13 @@ def _diff_bench(a: dict, b: dict) -> tuple[Table, list[str]]:
                             f"{va:.6f}s x {ceil}"
                         )
                 elif path == ("io", "pages_read"):
+                    # |B - A| against tol * |A|, so a move off a zero
+                    # baseline crosses any band.
                     tol = bands.get("pages_read_rel")
-                    if (tol is not None and rel is not None
-                            and abs(rel) > tol):
+                    if tol is not None and abs(vb - va) > tol * abs(va):
                         flag = "!"
                         crossings.append(
-                            f"{name}: pages_read moved {rel:+.2%} "
+                            f"{name}: pages_read moved {va} -> {vb} "
                             f"(band ±{tol:.0%}) — access counts are "
                             "deterministic; this is a real change"
                         )

@@ -62,11 +62,11 @@ __all__ = [
 BENCH_FORMAT = "repro-bench-v1"
 
 #: Default tolerance bands: generous on wall-clock (CI hosts differ by
-#: several x), tight on the deterministic I/O counts.
+#: several x), exact on the deterministic I/O counts.
 DEFAULT_TOLERANCE = {
     "queries_per_s_min_ratio": 0.1,
     "p99_max_ratio": 10.0,
-    "pages_read_rel": 0.01,
+    "pages_read_rel": 0.0,
 }
 
 #: Required percentile keys of every scenario's ``latency_s`` block.

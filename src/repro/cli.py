@@ -68,18 +68,9 @@ from typing import Callable
 from . import obs
 from .experiments import cfd_tables, gis_tables, synthetic_tables, vlsi_tables
 from .experiments.config import DEFAULT_CONFIG, ExperimentConfig
-from .experiments.report import Series, Table, timing_breakdown_table
+from .experiments.report import Table, series_table, timing_breakdown_table
 
 __all__ = ["main", "EXPERIMENTS"]
-
-
-def _series_table(name: str, series: list[Series]) -> Table:
-    """Render figure series as a three-column table for the terminal."""
-    table = Table(title=name, columns=("series", "x", "y"))
-    for line in series:
-        for label, x, y in line.as_table_rows():
-            table.add_row(label, x, y)
-    return table
 
 
 # name -> (callable(config) -> Table | list[Series] | dict[str, str], help)
@@ -373,7 +364,7 @@ def _emit(name: str, result, args: argparse.Namespace) -> None:
                                    x_label="x", y_label="disk accesses"))
         print(f"wrote {path}")
         return
-    table = (_series_table(name, result) if isinstance(result, list)
+    table = (series_table(name, result) if isinstance(result, list)
              else result)
     text = table.to_csv() if args.csv else table.render()
     if args.out_dir is not None:
@@ -393,7 +384,8 @@ def _emit_telemetry(name: str, tracer, registry, config, args,
     """Profile-mode breakdown table + trace/metrics/manifest files."""
     if profile_mode:
         print(timing_breakdown_table(
-            tracer, title=f"Phase timing breakdown: {name}"
+            tracer.phase_summary(), tracer.summary(),
+            title=f"Phase timing breakdown: {name}",
         ).render())
 
     run_dir = args.run_dir if args.run_dir is not None else obs.DEFAULT_RUN_DIR
@@ -629,10 +621,21 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
     Deterministic in ``--size``/``--seed``/``--capacity``: any worker
     count (and any number of kill/resume cycles) produces the same
     durable file as a serial ``bulk_load`` of the same input.  Exit
-    codes: 0 built, 2 a shard was poisoned (staging kept for resume).
+    codes: 0 built; 1 the staging directory was refused — a fresh build
+    over an existing plan (``PipelineError``), a missing, corrupt or
+    foreign plan on ``--resume`` (``ResumeMismatch``) or an unusable
+    staged input (``StagingError``); 2 a shard was poisoned
+    (``PoisonShard``).  Staging is kept either way, and every failure
+    prints one ``build failed: ...`` line on stderr.
     """
     from .datasets import uniform_points
-    from .pipeline import PoisonShard, parallel_bulk_load
+    from .pipeline import (
+        PipelineError,
+        PoisonShard,
+        ResumeMismatch,
+        StagingError,
+        parallel_bulk_load,
+    )
     from .storage.integrity import TRAILER_SIZE
     from .storage.journal import journal_path
     from .storage.page import required_page_size
@@ -666,10 +669,10 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
             throttle_s=args.throttle_s,
             keep_staging=args.keep_staging,
         )
-    except PoisonShard as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
+    except (PipelineError, ResumeMismatch, StagingError) as exc:
         store.close()
-        return 2
+        print(f"build failed: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, PoisonShard) else 1
     print(f"built {args.target}: {args.size} records, "
           f"height {tree.height}, {report.bulk.pages_written} pages "
           f"written, {report.plan.shard_count} shards, "

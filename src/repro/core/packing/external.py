@@ -64,16 +64,17 @@ class ExternalRectSorter:
     spilled as a binary run file, and :meth:`sorted_records` merges the
     runs with a heap.
 
-    Spills are **crash-clean**: every run is written to a pid-suffixed
-    temporary name, fsynced, and published with ``os.replace``, so a
-    killed sorter never leaves a torn run behind — only ignorable
-    ``*.tmp-*`` litter.  By default runs live in an ephemeral temporary
-    directory; passing ``staging`` pins them to a named, context-managed
-    directory (removed on clean exit *and* on exception, kept only by a
-    hard kill), and ``reuse_runs=True`` re-opens such a directory and
-    adopts its published runs instead of re-sorting them —
-    :attr:`resumed_records` tells the caller how many records are
-    already sorted so only the remainder needs re-feeding.
+    Spills are **crash-clean**: every run is published with
+    :func:`repro.pipeline.staging.atomic_publish` (pid-suffixed
+    temporary, fsync, rename), so a killed sorter never leaves a torn
+    run behind — only ignorable ``*.tmp-*`` litter.  By default runs
+    live in an ephemeral temporary directory; passing ``staging`` pins
+    them to a named, context-managed directory (removed on clean exit
+    *and* on exception, kept only by a hard kill), and
+    ``reuse_runs=True`` re-opens such a directory and adopts its
+    published runs instead of re-sorting them — :attr:`resumed_records`
+    tells the caller how many records are already sorted so only the
+    remainder needs re-feeding.
     """
 
     def __init__(self, ndim: int, *, chunk_size: int = 100_000,
@@ -96,8 +97,8 @@ class ExternalRectSorter:
         if staging is not None:
             if spill_dir is not None:
                 raise PackingError("pass spill_dir or staging, not both")
-            # Imported here so core.packing never loads repro.pipeline
-            # unless persistent spill staging is actually requested.
+            # Imported here and in _spill, so importing core.packing
+            # never loads repro.pipeline.
             from ...pipeline.staging import StagingDir
 
             self._tmp = None
@@ -176,6 +177,8 @@ class ExternalRectSorter:
     # -- spilling ------------------------------------------------------------
 
     def _spill(self) -> None:
+        from ...pipeline.staging import atomic_publish
+
         if not self._buffer:
             return
         with obs.span("extsort.spill", run=self._spills,
@@ -184,13 +187,9 @@ class ExternalRectSorter:
             path = os.path.join(self._dir, f"run-{self._spills:06d}.bin")
             # Publish atomically: a crash mid-spill leaves a *.tmp-<pid>
             # file that resume sweeps, never a torn run it would trust.
-            tmp = f"{path}.tmp-{os.getpid()}"
-            with open(tmp, "wb") as f:
-                for record in self._buffer:
-                    f.write(self._struct.pack(*record))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
+            pack = self._struct.pack
+            atomic_publish(path, lambda f: f.writelines(
+                pack(*record) for record in self._buffer))
         obs.inc("extsort.records_spilled", len(self._buffer))
         self._runs.append(path)
         self._spills += 1

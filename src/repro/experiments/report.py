@@ -13,9 +13,10 @@ import io
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from ..obs.spans import PHASES, Tracer
+from ..obs.spans import PHASES
 
-__all__ = ["Table", "Series", "format_value", "timing_breakdown_table"]
+__all__ = ["Table", "Series", "format_value", "series_table",
+           "timing_breakdown_table"]
 
 
 def format_value(value: Any, decimals: int = 2) -> str:
@@ -115,39 +116,42 @@ class Table:
         return self.render()
 
 
-def timing_breakdown_table(tracer: Tracer,
+def timing_breakdown_table(phases: dict, spans: dict,
                            title: str = "Phase timing breakdown") -> Table:
-    """Render a tracer's timings the way ``repro profile`` prints them.
+    """The phase/span timing table ``repro profile`` and ``repro report``
+    print.
 
-    Two bands: the coarse phases (sort/tile/pack/query, *self* time, so
-    the percentages sum to 100) and the per-span-name totals (inclusive
-    wall time — nested spans count their children, so these do not sum).
+    ``phases`` and ``spans`` are a tracer's
+    :meth:`~repro.obs.spans.Tracer.phase_summary` and
+    :meth:`~repro.obs.spans.Tracer.summary`, live or as a run manifest
+    stored them.  Two bands: the coarse phases (sort/tile/pack/query,
+    *self* time, so the percentages sum to 100) and the per-span-name
+    totals (inclusive wall time — nested spans count their children, so
+    these do not sum).
     """
     table = Table(
         title=title,
         columns=("phase / span", "count", "wall s", "cpu s", "% wall"),
     )
-    phases = tracer.phase_summary()
-    total_wall = sum(p["wall_s"] for p in phases.values())
+    total_wall = sum(p.get("wall_s", 0.0) for p in phases.values())
+
+    def row(label: str, entry: dict) -> None:
+        wall = entry.get("wall_s", 0.0)
+        pct = 100.0 * wall / total_wall if total_wall else 0.0
+        table.add_row(label, int(entry.get("count", 0)), round(wall, 4),
+                      round(entry.get("cpu_s", 0.0), 4), f"{pct:.1f}%")
+
     table.add_section("phases (self time)")
     ordered = [p for p in PHASES if p in phases]
     ordered += sorted(set(phases) - set(ordered))
     for phase in ordered:
-        p = phases[phase]
-        pct = 100.0 * p["wall_s"] / total_wall if total_wall else 0.0
-        table.add_row(phase, int(p["count"]),
-                      round(p["wall_s"], 4), round(p["cpu_s"], 4),
-                      f"{pct:.1f}%")
+        row(phase, phases[phase])
     table.add_section("spans (inclusive time)")
-    spans = tracer.summary()
-    for name in sorted(spans, key=lambda n: -spans[n]["wall_s"]):
-        s = spans[name]
-        pct = 100.0 * s["wall_s"] / total_wall if total_wall else 0.0
-        table.add_row(f"{name} [{s['phase']}]", int(s["count"]),
-                      round(s["wall_s"], 4), round(s["cpu_s"], 4),
-                      f"{pct:.1f}%")
+    for name in sorted(spans, key=lambda n: -spans[n].get("wall_s", 0.0)):
+        row(f"{name} [{spans[name].get('phase', '?')}]", spans[name])
+    count = sum(int(s.get("count", 0)) for s in spans.values())
     table.notes.append(
-        f"traced wall time {total_wall:.3f}s over {len(tracer)} spans; "
+        f"traced wall time {total_wall:.3f}s over {count} spans; "
         "phase rows use self time (exclusive of children) and sum to 100%"
     )
     return table
@@ -170,3 +174,12 @@ class Series:
         """Yield (label, x, y) triples for tabular rendering."""
         for x, y in zip(self.xs, self.ys):
             yield (self.label, x, y)
+
+
+def series_table(name: str, series: Iterable[Series]) -> Table:
+    """A figure's series as one three-column ``(series, x, y)`` table."""
+    table = Table(title=name, columns=("series", "x", "y"))
+    for line in series:
+        for label, x, y in line.as_table_rows():
+            table.add_row(label, x, y)
+    return table

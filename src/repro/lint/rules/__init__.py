@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from . import (  # noqa: F401  (registration side effects)
     rl001_wallclock,
-    rl002_atomic,
     rl003_counters,
     rl004_exceptions,
     rl005_async,
@@ -24,7 +23,6 @@ from . import (  # noqa: F401  (registration side effects)
 
 __all__ = [
     "rl001_wallclock",
-    "rl002_atomic",
     "rl003_counters",
     "rl004_exceptions",
     "rl005_async",

@@ -15,10 +15,12 @@ Flagged, in ``repro/ingest/merge.py`` only:
   the appender owns the active segment; the merge parses sealed
   segment files via :class:`~repro.ingest.wal.WalSegment` instead;
 * ``open(..., "w"/"a"/"+")`` on anything but a ``*.tmp-*`` sibling —
-  the merge writes through the page store and the atomic staging
-  helpers, never raw writable handles (the one exception is the
-  crash-injection path parking a torn pointer image on a temporary
-  sibling that nothing references);
+  the merge writes through the page store and publishes the pointer
+  through :func:`repro.pipeline.staging.atomic_write_bytes`, never raw
+  writable handles (the one exception is the crash-injection path
+  parking a torn pointer image on a temporary sibling that nothing
+  references; no rename follows it, and RL008 flags any rename
+  outside the staging helpers);
 * calls to ``.seal_active(...)`` or ``.truncate(...)`` — sealing is
   the *server's* half of the protocol (under its write lock) and
   truncation is recovery's; the merge does neither.

@@ -1,38 +1,49 @@
-"""RL008 durability-ordering: fsync *before* the publishing rename,
-WAL fsync *before* the ack.
+"""RL008 durability-ordering: only the staging helpers rename, fsync
+comes *before* the publishing rename, the WAL fsync *before* the ack.
 
-RL002 pins *where* renames may happen (the blessed staging helpers);
-this rule checks *that the blessed helpers are actually safe*: on
-every path to an ``os.replace`` that publishes a file, the temporary
-it publishes was written, flushed, and fsynced on the same handle.  A
-rename of still-buffered bytes is exactly the torn-file bug the crash
-matrix exists to catch — but the crash matrix only sees schedules it
-samples; the dataflow proof covers every path, including the branch
-nobody's test takes.
+Durable files are published by one protocol — write a ``*.tmp-<pid>``
+sibling, flush, fsync, then ``os.replace`` it onto the final name —
+and that protocol has one implementation,
+:func:`repro.pipeline.staging.atomic_publish`.  This rule pins both
+halves of that claim: *where* a rename may happen, and *that* the
+renames there are safe.  A rename of still-buffered bytes is exactly
+the torn-file bug the crash matrix exists to catch — but the crash
+matrix only sees schedules it samples; the dataflow proof covers every
+path, including the branch nobody's test takes.
 
-Two checks, both flow-sensitive over :mod:`repro.lint.cfg`:
+Three checks:
 
-**Rename dominance.**  Per file handle the analysis tracks
+**Rename placement** (every file).  A plain AST pass flags any call to
+``os.rename``, ``os.replace``, ``os.renames`` or ``shutil.move`` that
+the dominance check below does not cover — that is, anywhere outside
+the functions of ``pipeline/staging.py``.  Other modules publish
+through the staging helpers instead of renaming by hand.
+
+**Rename dominance** (``pipeline/staging.py``).  Flow-sensitive over
+:mod:`repro.lint.cfg`.  Per file handle the analysis tracks
 ``(dirty_buffer, dirty_file, fsync_ever)`` — bytes sitting in the
 userspace buffer, bytes in the OS page cache not yet on disk, and
 whether the handle was ever fsynced — plus the unparsed source
 expression the handle was opened on.  ``write``/``writelines`` (or
 passing the handle to any function, which covers ``np.save(f, a)``
-and ``json.dump(obj, f)``) dirty the buffer; ``flush`` moves buffer
+and a ``write(f)`` callback) dirty the buffer; ``flush`` moves buffer
 to file; ``os.fsync(h.fileno())`` cleans the file; ``close`` and the
 ``with`` exit flush implicitly.  At an ``os.replace(src, dst)`` some
 handle opened on exactly ``src`` must be fully clean and fsynced on
 *every* path reaching the rename.  Merges are conservative: a branch
 that skips the fsync poisons the join.  Renames in functions that
 never open a writable handle and whose source expression does not
-mention a temporary are out of scope — they move already-durable
-files (segment GC, directory shuffles), which is RL002's beat.
+mention a temporary move already-durable files and are not checked.
 
-**Ack dominance.**  The ingest ack points
-(:meth:`WriteAheadLog.append`, :meth:`IngestState.append`) promise
-"when this returns, the op is durable".  Each is checked with a
-must-analysis: every ``return`` must be dominated by the call that
-makes the op durable (``self._physical_append`` / ``self.wal.append``).
+**Ack dominance** (``ingest/wal.py``, ``ingest/state.py``).  The
+ingest ack points (:meth:`WriteAheadLog.append`,
+:meth:`IngestState.append`) promise "when this returns, the op is
+durable".  Each is checked with a must-analysis: every ``return`` must
+be dominated by the call that makes the op durable
+(``self._physical_append`` / ``self.wal.append``).
+
+Flow analysis runs only where it proves something: on the staging
+module's functions and on the two ack points.
 """
 
 from __future__ import annotations
@@ -48,6 +59,9 @@ __all__ = ["DurabilityOrdering"]
 
 RENAMES = ("os.rename", "os.replace", "os.renames", "shutil.move")
 OPENS = ("open", "io.open", "os.fdopen")
+
+#: The one module whose functions may rename (under the dominance proof).
+STAGING = "repro/pipeline/staging.py"
 
 #: (path fragment, function qualname) -> call patterns that make the
 #: op durable before the function's returns may ack it.
@@ -119,30 +133,39 @@ def _merge(a: State, b: State) -> State:
 class DurabilityOrdering(Rule):
     id = "RL008"
     name = "durability-ordering"
-    invariant = ("publishing renames are dominated by write, flush, "
-                 "fsync on the published handle; ingest acks are "
-                 "dominated by the WAL fsync")
-    path_fragments = (
-        # the RL002-blessed rename modules…
-        "repro/pipeline/staging.py",
-        "repro/core/packing/external.py",
-        # …and the ack points
-        "repro/ingest/wal.py",
-        "repro/ingest/state.py",
-    )
+    invariant = ("files are renamed into place only by the staging "
+                 "helpers, after write, flush, fsync on the published "
+                 "handle; ingest acks are dominated by the WAL fsync")
+    path_fragments = ()  # every file: a rename anywhere is in scope
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for qualname, func in functions(ctx.tree):
-            cfg = ctx.cfg(func)
-            yield from self._check_renames(ctx, cfg)
-            for (frag, name), durable in ACK_PROTOCOLS.items():
-                if frag in ctx.path and name == qualname:
-                    yield from self._check_ack(ctx, cfg, durable)
+        proven: set[ast.Call] = set()
+        if ctx.path.endswith(STAGING):
+            for _, func in functions(ctx.tree):
+                yield from self._check_renames(ctx, ctx.cfg(func), proven)
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call) or node in proven:
+                continue
+            name = resolve_call_name(node.func, ctx.aliases)
+            if name in RENAMES:
+                yield self.finding(
+                    ctx, node,
+                    f"raw {name} outside the staging helpers; publish "
+                    f"via repro.pipeline.staging (fsync-then-rename) "
+                    f"instead")
+        for (frag, qualname), durable in ACK_PROTOCOLS.items():
+            if frag not in ctx.path:
+                continue
+            for name, func in functions(ctx.tree):
+                if name == qualname:
+                    yield from self._check_ack(ctx, ctx.cfg(func), durable)
 
     # -- rename dominance --------------------------------------------------
 
-    def _check_renames(self, ctx: FileContext,
-                       cfg: CFG) -> Iterator[Finding]:
+    def _check_renames(self, ctx: FileContext, cfg: CFG,
+                       proven: set[ast.Call]) -> Iterator[Finding]:
+        """Check every reachable rename in ``cfg`` and add it to
+        ``proven`` (the placement pass then leaves it alone)."""
         opens_writable = any(
             _writable_open(node, ctx.aliases) is not None
             for node in ast.walk(cfg.func)
@@ -160,6 +183,7 @@ class DurabilityOrdering(Rule):
                 name = resolve_call_name(call.func, ctx.aliases)
                 if name not in RENAMES or not call.args:
                     continue
+                proven.add(call)
                 src = ast.unparse(call.args[0])
                 if not opens_writable and "tmp" not in src.lower():
                     continue  # moves an already-durable file

@@ -5,11 +5,12 @@ lives in one *staging directory*: the staged input arrays, the shard
 plan, per-shard leaf runs and done records, and heartbeat files.  The
 rules that make a staging directory crash-safe are small and uniform:
 
-* every durable file is written to a unique ``*.tmp-<pid>`` sibling and
-  published with ``os.replace`` — readers never observe a half-written
-  file, and two writers racing on the same logical file (an orphaned
-  worker from a killed orchestrator vs. its replacement) both publish
-  complete images;
+* every durable file is written to a unique ``*.tmp-<pid>`` sibling,
+  flushed, fsynced and published with ``os.replace`` by
+  :func:`atomic_publish` — readers never observe a half-written file,
+  and two writers racing on the same logical file (an orphaned worker
+  from a killed orchestrator vs. its replacement) both publish complete
+  images;
 * published files are verified by content checksum before they are
   trusted on resume;
 * the directory itself is context-managed: a *clean exception* removes
@@ -19,8 +20,10 @@ rules that make a staging directory crash-safe are small and uniform:
   :class:`~repro.pipeline.PoisonShard` so the healthy shards' work is
   not thrown away) call :meth:`StagingDir.keep` first.
 
-The same primitives back the external sorter's crash-clean spill runs
-(:mod:`repro.core.packing.external`).
+:func:`atomic_publish` is the only place in the package that renames a
+file: every other writer, the external sorter's crash-clean spill runs
+(:mod:`repro.core.packing.external`) included, publishes through it,
+and lint rule RL008 flags a rename anywhere else.
 
 This module also owns the *CRC'd JSON record*, the one format behind
 ``plan.json``, the shard done records, the ingest WAL's lines and its
@@ -34,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Any
+from typing import IO, Any, Callable
 
 from ..storage.integrity import (
     CHECKSUM_VERSION,
@@ -46,6 +49,7 @@ from ..storage.integrity import (
 __all__ = [
     "StagingError",
     "StagingDir",
+    "atomic_publish",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_save_npy",
@@ -61,8 +65,10 @@ class StagingError(RuntimeError):
     """Raised for unusable staging directories or corrupt staged files."""
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> str:
-    """Write ``data`` to ``path`` atomically (tmp + fsync + rename).
+def atomic_publish(path: str | os.PathLike,
+                   write: Callable[[IO[bytes]], object]) -> str:
+    """Publish what ``write(f)`` puts in a new file at ``path``,
+    atomically: tmp, write, flush, fsync, rename.
 
     The temporary name carries the writer's pid so two processes
     publishing the same logical file never tear each other's buffers;
@@ -74,11 +80,16 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> str:
     path = os.fspath(path)
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "wb") as f:
-        f.write(data)
+        write(f)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
     return path
+
+
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> str:
+    """Atomically publish ``data`` at ``path``."""
+    return atomic_publish(path, lambda f: f.write(data))
 
 
 def atomic_write_json(path: str | os.PathLike, payload: dict) -> str:
@@ -91,14 +102,7 @@ def atomic_save_npy(path: str | os.PathLike, array: Any) -> str:
     """Atomically publish a numpy array as a ``.npy`` file."""
     import numpy as np
 
-    path = os.fspath(path)
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as f:
-        np.save(f, array)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    return path
+    return atomic_publish(path, lambda f: np.save(f, array))
 
 
 def file_checksum(path: str | os.PathLike, *, chunk_bytes: int = 1 << 20

@@ -110,6 +110,14 @@ __all__ = ["QueryServer"]
 #: wire code when degraded reads could not absorb them.
 _STORE_FAILURES = (StoreError, IntegrityError, PageFormatError, OSError)
 
+#: Threads in the in-process search executor (tree walks still
+#: serialize on the search lock).
+SEARCH_THREADS = 2
+#: Most recent requests the rolling latency percentiles cover.
+LATENCY_WINDOW = 1024
+#: Seed of the worker pool's restart-backoff jitter.
+POOL_SEED = 0
+
 
 class QueryServer:
     """A multi-client asyncio query server over one paged R-tree."""
@@ -128,11 +136,8 @@ class QueryServer:
         slo: SloTarget | None = None,
         degraded: bool = True,
         clock: Callable[[], float] = time.monotonic,
-        latency_window: int = 1024,
-        search_workers: int = 2,
         allow_reload: bool = False,
         workers: int = 0,
-        pool_seed: int = 0,
         ingest: IngestState | None = None,
     ):
         self.tree = tree
@@ -159,7 +164,7 @@ class QueryServer:
 
         self.searcher = tree.searcher(buffer_pages)
         self.admission = AdmissionController(max_inflight, max_queue)
-        self.latency = RollingWindow(latency_window)
+        self.latency = RollingWindow(LATENCY_WINDOW)
         self.quarantine: set[int] = set(quarantine or ())
         self.quarantined_runtime = 0
 
@@ -175,7 +180,7 @@ class QueryServer:
         # shedding and deadline expiry concurrent above them.
         self._search_lock = Lock()
         self._executor = ThreadPoolExecutor(
-            max_workers=search_workers, thread_name_prefix="repro-serve"
+            max_workers=SEARCH_THREADS, thread_name_prefix="repro-serve"
         )
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple | None = None
@@ -191,7 +196,6 @@ class QueryServer:
 
         # Multi-process pool (enabled with workers >= 1; see serve.pool).
         self.workers = workers
-        self.pool_seed = pool_seed
         self.pool: WorkerPool | None = None
         self.pool_fallbacks = 0
         self.pool_start_error: str | None = None
@@ -661,7 +665,7 @@ class QueryServer:
                 "re-open it — serving in-process")
             obs.inc("serve.pool.start_failures")
             return
-        pool = WorkerPool(spec, self.workers, seed=self.pool_seed)
+        pool = WorkerPool(spec, self.workers, seed=POOL_SEED)
         try:
             await pool.start()
         except PoolUnavailable as exc:

@@ -1,0 +1,56 @@
+"""``repro build`` refusals: a typed error ends in one ``build failed``
+line and a documented exit code, never a traceback.
+
+Run as real subprocesses, because a traceback is what the interpreter
+prints for an exception nothing caught.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _build(tmp_path, *extra):
+    argv = [sys.executable, "-m", "repro", "build",
+            str(tmp_path / "tree.rt"), "--size", "500", "--capacity", "20",
+            "--workers", "0", "--staging", str(tmp_path / "staging"),
+            "--no-manifest", *extra]
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    return subprocess.run(argv, env=env, cwd=str(tmp_path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def _assert_refused(proc, *fragments):
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("build failed: ")
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+@pytest.mark.parametrize("plan, fragment", [
+    ("[]", "not a JSON object"),
+    (None, "unreadable plan"),
+])
+def test_resume_over_a_bad_plan_is_a_one_line_refusal(tmp_path, plan,
+                                                      fragment):
+    (tmp_path / "staging").mkdir()
+    if plan is not None:
+        (tmp_path / "staging" / "plan.json").write_text(plan)
+    proc = _build(tmp_path, "--resume")
+    _assert_refused(proc, "plan.json", fragment)
+    if plan is not None:  # the refused staging directory is kept
+        assert (tmp_path / "staging" / "plan.json").read_text() == plan
+
+
+def test_fresh_build_over_existing_staging_is_a_one_line_refusal(tmp_path):
+    (tmp_path / "staging").mkdir()
+    (tmp_path / "staging" / "plan.json").write_text("{}")
+    proc = _build(tmp_path)
+    _assert_refused(proc, "already exists")
+    assert (tmp_path / "staging" / "plan.json").read_text() == "{}"

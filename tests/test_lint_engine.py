@@ -57,11 +57,12 @@ def write(tmp_path, rel, source):
 # -- registry / rule basics ---------------------------------------------------
 
 
-def test_all_rules_registers_the_eleven_project_rules():
+def test_all_rules_registers_the_ten_project_rules():
     ids = [r.id for r in all_rules()]
     assert ids == sorted(ids)
-    assert {"RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-            "RL007", "RL008", "RL009", "RL010", "RL011"} <= set(ids)
+    assert {"RL001", "RL003", "RL004", "RL005", "RL006", "RL007",
+            "RL008", "RL009", "RL010", "RL011"} <= set(ids)
+    assert "RL002" not in ids  # folded into RL008
 
 
 def test_every_rule_documents_its_invariant():
@@ -366,12 +367,12 @@ def test_cli_rules_filter_runs_only_the_named_rules(tmp_path, monkeypatch,
                                                     capsys):
     seed_violation(tmp_path)  # an RL001 violation
     monkeypatch.chdir(tmp_path)
-    code = main(["lint", "repro", "--rules", "RL002"])
+    code = main(["lint", "repro", "--rules", "RL003"])
     out = capsys.readouterr().out
     assert code == 0  # RL001 never ran
     assert "1 rule(s)" in out
     capsys.readouterr()
-    assert main(["lint", "repro", "--rules", "rl001,RL002"]) == 1
+    assert main(["lint", "repro", "--rules", "rl001,RL003"]) == 1
     assert "RL001" in capsys.readouterr().out
 
 

@@ -2,7 +2,7 @@
 
 Every rule gets true-positive fixtures (the violation it exists to
 catch), true-negative fixtures (the sanctioned idioms it must never
-flag — injection defaults, seeded RNGs, blessed modules, failure
+flag — injection defaults, seeded RNGs, the staging helpers, failure
 counters, executor dispatch), and a suppression check.  Fixtures are
 checked as in-memory sources with repo-shaped paths, exactly how the
 engine sees real files.
@@ -88,7 +88,8 @@ def test_rl001_suppression(engine):
     assert [f for f in found if f.rule == "RL001"] == []
 
 
-# -- RL002 atomic-publication -------------------------------------------------
+# -- RL008 rename placement ---------------------------------------------------
+# (RL008's flow-sensitive half lives in test_lint_flow_rules.py.)
 
 
 @pytest.mark.parametrize("source, fn", [
@@ -98,37 +99,59 @@ def test_rl001_suppression(engine):
     ("import shutil\nshutil.move('a', 'b')\n", "shutil.move"),
     ("from os import replace\nreplace('a', 'b')\n", "os.replace"),
 ])
-def test_rl002_flags_raw_renames_anywhere(engine, source, fn):
+def test_rl008_flags_raw_renames_outside_staging(engine, source, fn):
     found = findings_for(engine, "src/repro/experiments/runner.py",
-                         source, "RL002")
+                         source, "RL008")
     assert len(found) == 1
     assert fn in found[0].message
-    assert "staging" in found[0].message
+    assert "repro.pipeline.staging" in found[0].message
 
 
-@pytest.mark.parametrize("blessed", [
-    "src/repro/pipeline/staging.py",
-    "src/repro/core/packing/external.py",
-])
-def test_rl002_blessed_modules_may_rename(engine, blessed):
-    source = "import os\nos.replace('a.tmp', 'a')\n"
-    assert findings_for(engine, blessed, source, "RL002") == []
-
-
-def test_rl002_flags_a_rename_in_the_page_store(engine):
-    # The store commits by superblock write and renames nothing, so it
-    # is not blessed: a rename there is as suspect as anywhere else.
+def test_rl008_flags_a_rename_in_the_page_store(engine):
+    # The store commits by superblock write and renames nothing.
     source = "import os\nos.replace('a.tmp', 'a')\n"
     found = findings_for(engine, "src/repro/storage/store.py", source,
-                         "RL002")
+                         "RL008")
     assert len(found) == 1
     assert "os.replace" in found[0].message
+    assert "repro.pipeline.staging" in found[0].message
 
 
-def test_rl002_ignores_non_rename_os_calls(engine):
+def test_rl008_flags_a_rename_in_the_external_sorter(engine):
+    # Spill runs publish through staging.atomic_publish; a hand-written
+    # fsync-then-rename there is a second copy of the protocol, flagged
+    # even when it is correct.
+    source = (
+        "import os\n"
+        "def spill(path, data):\n"
+        "    tmp = path + '.tmp'\n"
+        "    with open(tmp, 'wb') as f:\n"
+        "        f.write(data)\n"
+        "        f.flush()\n"
+        "        os.fsync(f.fileno())\n"
+        "    os.replace(tmp, path)\n")
+    found = findings_for(engine, "src/repro/core/packing/external.py",
+                         source, "RL008")
+    assert len(found) == 1
+    assert "repro.pipeline.staging" in found[0].message
+    assert findings_for(engine, "src/repro/pipeline/staging.py", source,
+                        "RL008") == []
+
+
+def test_rl008_flags_a_module_level_rename_in_staging(engine):
+    # Only staging's functions get the dominance proof; a rename outside
+    # them is unproven, so it is flagged like any other.
+    source = "import os\nos.replace('a.tmp', 'a')\n"
+    found = findings_for(engine, "src/repro/pipeline/staging.py", source,
+                         "RL008")
+    assert len(found) == 1
+    assert "repro.pipeline.staging" in found[0].message
+
+
+def test_rl008_ignores_non_rename_os_calls(engine):
     source = "import os\nos.remove('a')\nos.fsync(3)\n"
     assert findings_for(engine, "src/repro/serve/server.py", source,
-                        "RL002") == []
+                        "RL008") == []
 
 
 # -- RL003 counter-purity -----------------------------------------------------

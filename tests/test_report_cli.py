@@ -9,6 +9,7 @@ import pytest
 
 from repro import obs
 from repro.bench import write_bench
+from repro.bench.schema import DEFAULT_TOLERANCE
 from repro.bench.report import diff_tables, prune_runs
 from repro.cli import main
 
@@ -155,6 +156,22 @@ class TestDiff:
         write_bench(_bench_doc(**{"io.pages_read": 230}), b)
         code, out = run_cli(capsys, "report", "--diff", a, b)
         assert code == 1  # +15% pages_read vs a 1% band
+
+    @pytest.mark.parametrize("before, after", [(200, 201), (0, 1)])
+    def test_default_band_pins_pages_read_exactly(self, tmp_path, capsys,
+                                                  before, after):
+        # One page more, or any move off a zero baseline (the build
+        # scenario reads none), is a real change to the access counts.
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        band = dict(DEFAULT_TOLERANCE)
+        write_bench(_bench_doc(**{"io.pages_read": before,
+                                  "tolerance": band}), a)
+        write_bench(_bench_doc(**{"io.pages_read": after,
+                                  "tolerance": band}), b)
+        assert main(["report", "--diff", a, b]) == 1
+        crossed = f"CROSSED: window_1pct: pages_read moved {before} -> {after}"
+        assert crossed in capsys.readouterr().err
+        assert main(["report", "--diff", a, a]) == 0
 
     def test_generous_wallclock_band_tolerates_slow_hosts(self, tmp_path,
                                                           capsys):
