@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 import time
 from typing import Callable
@@ -625,8 +626,11 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
     over an existing plan (``PipelineError``), a missing, corrupt or
     foreign plan on ``--resume`` (``ResumeMismatch``) or an unusable
     staged input (``StagingError``); 2 a shard was poisoned
-    (``PoisonShard``).  Staging is kept either way, and every failure
-    prints one ``build failed: ...`` line on stderr.
+    (``PoisonShard``).  Staging is kept either way, every failure
+    prints one ``build failed: ...`` line on stderr, and the target
+    file is replaced only by a committed tree: the build writes
+    ``<target>.partial`` and publishes it once it is done, so a refused
+    or failed build leaves the old tree as it was.
     """
     from .datasets import uniform_points
     from .pipeline import (
@@ -636,6 +640,7 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
         StagingError,
         parallel_bulk_load,
     )
+    from .pipeline.staging import publish_file
     from .storage.integrity import TRAILER_SIZE
     from .storage.journal import journal_path
     from .storage.page import required_page_size
@@ -649,13 +654,12 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
     page_size = required_page_size(args.capacity, points.ndim) + TRAILER_SIZE
     staging = (args.staging if args.staging is not None
                else f"{args.target}.staging")
-    # The output file is written only during final assembly; a leftover
-    # (possibly partial) file from an earlier run is dead weight, and so
-    # is a journal sidecar an older version may have left beside it.
-    for stale in (args.target, journal_path(args.target)):
-        if os.path.exists(stale):
-            os.remove(stale)
-    store = FilePageStore(args.target, page_size, checksums=True)
+    # The tree is assembled beside the target; a leftover from a killed
+    # earlier run is dead weight.
+    partial = f"{args.target}.partial"
+    if os.path.exists(partial):
+        os.remove(partial)
+    store = FilePageStore(partial, page_size, checksums=True)
     try:
         tree, report = parallel_bulk_load(
             points,
@@ -667,12 +671,23 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
             deadline_s=args.worker_deadline_s,
             max_attempts=args.max_attempts,
             throttle_s=args.throttle_s,
-            keep_staging=args.keep_staging,
+            keep_staging=True,
         )
     except (PipelineError, ResumeMismatch, StagingError) as exc:
         store.close()
+        os.remove(partial)
         print(f"build failed: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, PoisonShard) else 1
+    store.close()
+    # Publish before dropping the staging: a kill in between leaves a
+    # staging directory that --resume completes from.  A journal
+    # sidecar an older version left beside the old tree is dead weight.
+    publish_file(partial, args.target)
+    legacy_journal = journal_path(args.target)
+    if os.path.exists(legacy_journal):
+        os.remove(legacy_journal)
+    if not args.keep_staging:
+        shutil.rmtree(staging, ignore_errors=True)
     print(f"built {args.target}: {args.size} records, "
           f"height {tree.height}, {report.bulk.pages_written} pages "
           f"written, {report.plan.shard_count} shards, "
@@ -680,7 +695,6 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
           + (f", resumed {len(report.resumed_shards)} shard(s)"
              if report.resumed_shards else "")
           + (f", retries {dict(report.retries)}" if report.retries else ""))
-    store.close()
     if not args.no_manifest:
         run_dir = (args.run_dir if args.run_dir is not None
                    else obs.DEFAULT_RUN_DIR)

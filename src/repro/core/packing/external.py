@@ -67,20 +67,13 @@ class ExternalRectSorter:
     Spills are **crash-clean**: every run is published with
     :func:`repro.pipeline.staging.atomic_publish` (pid-suffixed
     temporary, fsync, rename), so a killed sorter never leaves a torn
-    run behind — only ignorable ``*.tmp-*`` litter.  By default runs
-    live in an ephemeral temporary directory; passing ``staging`` pins
-    them to a named, context-managed directory (removed on clean exit
-    *and* on exception, kept only by a hard kill), and
-    ``reuse_runs=True`` re-opens such a directory and adopts its
-    published runs instead of re-sorting them — :attr:`resumed_records`
-    tells the caller how many records are already sorted so only the
-    remainder needs re-feeding.
+    run behind — only ignorable ``*.tmp-*`` litter.  Runs live in a
+    temporary directory (under ``spill_dir`` when given) that
+    :meth:`close` removes, on clean exit and on exception alike.
     """
 
     def __init__(self, ndim: int, *, chunk_size: int = 100_000,
-                 spill_dir: str | None = None,
-                 staging: str | os.PathLike | None = None,
-                 reuse_runs: bool = False):
+                 spill_dir: str | None = None):
         if ndim < 1:
             raise GeometryError("ndim must be >= 1")
         if chunk_size < 2:
@@ -92,49 +85,10 @@ class ExternalRectSorter:
         self._buffer: list[tuple] = []
         self._count = 0
         self._spills = 0
-        self._resumed = 0
-        self._keep = False
-        if staging is not None:
-            if spill_dir is not None:
-                raise PackingError("pass spill_dir or staging, not both")
-            # Imported here and in _spill, so importing core.packing
-            # never loads repro.pipeline.
-            from ...pipeline.staging import StagingDir
-
-            self._tmp = None
-            self._staging = StagingDir(staging)
-            self._dir = self._staging.path
-            if reuse_runs:
-                self._adopt_runs()
-        elif reuse_runs:
-            raise PackingError("reuse_runs requires a staging directory")
-        else:
-            self._tmp = tempfile.TemporaryDirectory(
-                prefix="repro-extsort-", dir=spill_dir
-            )
-            self._staging = None
-            self._dir = self._tmp.name
-
-    def _adopt_runs(self) -> None:
-        """Adopt published runs from a previous (killed) sorter."""
-        self._staging.sweep_tmp()
-        for name in sorted(os.listdir(self._dir)):
-            if not (name.startswith("run-") and name.endswith(".bin")):
-                continue
-            path = os.path.join(self._dir, name)
-            size = os.path.getsize(path)
-            if size % self._struct.size:
-                # Published runs are atomic; a short file means the
-                # directory was damaged at rest, not torn by a crash.
-                raise PackingError(
-                    f"{path}: spill run is not a whole number of "
-                    f"records ({size} bytes)")
-            records = size // self._struct.size
-            self._runs.append(path)
-            self._count += records
-            self._resumed += records
-            self._spills += 1
-        obs.inc("extsort.records_resumed", self._resumed)
+        self._tmp = tempfile.TemporaryDirectory(
+            prefix="repro-extsort-", dir=spill_dir
+        )
+        self._dir = self._tmp.name
 
     # -- feeding -------------------------------------------------------------
 
@@ -159,24 +113,11 @@ class ExternalRectSorter:
         """Spilled runs so far (diagnostic; excludes the live buffer)."""
         return self._spills
 
-    @property
-    def resumed_records(self) -> int:
-        """Records adopted from pre-existing runs (``reuse_runs=True``).
-
-        These are already sorted on disk; a resuming caller feeds only
-        the remainder of its input.
-        """
-        return self._resumed
-
-    def keep(self) -> None:
-        """Preserve the staging directory when this sorter closes (only
-        meaningful with ``staging``; lets a caller hand the runs to a
-        later resume explicitly)."""
-        self._keep = True
-
     # -- spilling ------------------------------------------------------------
 
     def _spill(self) -> None:
+        # Imported here so importing core.packing never loads
+        # repro.pipeline.
         from ...pipeline.staging import atomic_publish
 
         if not self._buffer:
@@ -186,7 +127,7 @@ class ExternalRectSorter:
             self._buffer.sort()
             path = os.path.join(self._dir, f"run-{self._spills:06d}.bin")
             # Publish atomically: a crash mid-spill leaves a *.tmp-<pid>
-            # file that resume sweeps, never a torn run it would trust.
+            # file, never a torn run.
             pack = self._struct.pack
             atomic_publish(path, lambda f: f.writelines(
                 pack(*record) for record in self._buffer))
@@ -214,11 +155,8 @@ class ExternalRectSorter:
         yield from heapq.merge(*streams)
 
     def close(self) -> None:
-        """Delete all spill files (unless :meth:`keep` was called)."""
-        if self._tmp is not None:
-            self._tmp.cleanup()
-        elif not self._keep:
-            self._staging.remove()
+        """Delete all spill files."""
+        self._tmp.cleanup()
 
     def __enter__(self) -> "ExternalRectSorter":
         return self

@@ -1,17 +1,22 @@
-"""In-memory dynamic delta layer over a packed base tree.
+"""In-memory delta layer over a packed base tree.
 
 A :class:`DeltaTree` holds the writes that arrived since the last
-re-pack: an R*-tree (the repo's best dynamic variant) indexes the
-*live* delta rectangles for window queries, a dict maps each live id
-to its rectangle (the logical model is ``unique int id -> rect`` with
-last-writer-wins upserts), and a tombstone set records deletes so the
-overlay can subtract them from base-tree answers.
+re-pack.  The logical model is ``unique int id -> rect`` with
+last-writer-wins upserts, plus a tombstone set recording deletes so
+the overlay can subtract them from base-tree answers.
+
+The live entries are one flat table: row ``r`` of three growable
+numpy arrays (``ids``, ``los``, ``his``) holds one id and its
+rectangle, and a dict maps each live id to its row.  A new id appends
+a row, an upsert overwrites its row, and a delete moves the last row
+into the hole, so every mutation is O(1).  Window and kNN queries scan
+the live rows vectorized: a delta is drained by every merge, so a scan
+of a few hundred rows is cheaper than maintaining a dynamic index.
 
 The structure is deliberately tiny and rebuildable: every op in it is
 also in the fsynced WAL, so a crash loses nothing — the delta is
-replayed from the segments on open (via the bulk
-:meth:`DeltaTree.insert_many` fast path, which converts the whole
-geometry buffer once instead of allocating per op).
+replayed from the segments on open, one :meth:`DeltaTree.apply` per
+op.
 
 Op counters land in the ``ingest.*`` metrics namespace; none of them
 move on error paths (RL003 counter purity applies to this package).
@@ -19,17 +24,19 @@ move on error paths (RL003 counter purity applies to this package).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core.geometry import GeometryError, Rect, RectArray
+from ..core.geometry import GeometryError, Rect
 from ..obs import runtime as obs
 from ..rtree.knn import _min_dists
-from ..rtree.rstar import RStarTree
 from .wal import IngestError, WalOp
 
 __all__ = ["DeltaTree"]
+
+#: Rows allocated up front; the arrays double whenever they fill.
+_INITIAL_ROWS = 64
 
 
 class DeltaTree:
@@ -40,31 +47,28 @@ class DeltaTree:
     ndim:
         Dimensionality of the indexed rectangles (must match the
         packed base tree).
-    capacity:
-        Node capacity of the internal R*-tree.  Deltas are small by
-        design (the merge drains them), so a modest fan-out keeps
-        restructuring cheap.
     """
 
-    def __init__(self, ndim: int, *, capacity: int = 16):
+    def __init__(self, ndim: int):
         if ndim < 1:
             raise GeometryError("ndim must be >= 1")
         self.ndim = ndim
-        self._tree = RStarTree(ndim=ndim, capacity=capacity)
-        self._rects: dict[int, Rect] = {}
+        self._ids = np.empty(_INITIAL_ROWS, dtype=np.int64)
+        self._los = np.empty((_INITIAL_ROWS, ndim), dtype=np.float64)
+        self._his = np.empty((_INITIAL_ROWS, ndim), dtype=np.float64)
+        #: Live id -> its row; rows ``0 .. len(self) - 1`` are live.
+        self._rows: dict[int, int] = {}
         self._tombstones: set[int] = set()
         #: Ids whose base-tree answer this layer overrides (live upsert
         #: or tombstone).  Grows monotonically until the layer is
         #: dropped at merge cutover.
         self._overridden: set[int] = set()
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None \
-            = None
 
     # -- accessors ---------------------------------------------------------
 
     def __len__(self) -> int:
         """Number of live (upserted, not-deleted) entries."""
-        return len(self._rects)
+        return len(self._rows)
 
     @property
     def tombstone_count(self) -> int:
@@ -77,15 +81,15 @@ class DeltaTree:
 
     def get(self, data_id: int) -> Rect | None:
         """The live rectangle for ``data_id``, if this layer holds one."""
-        return self._rects.get(data_id)
+        row = self._rows.get(data_id)
+        if row is None:
+            return None
+        return Rect(tuple(self._los[row].tolist()),
+                    tuple(self._his[row].tolist()))
 
     def is_tombstoned(self, data_id: int) -> bool:
         """True when this layer carries a delete marker for ``data_id``."""
         return data_id in self._tombstones
-
-    def items(self) -> Iterator[tuple[int, Rect]]:
-        """All live ``(id, rect)`` pairs (no particular order)."""
-        return iter(self._rects.items())
 
     # -- mutation ----------------------------------------------------------
 
@@ -95,60 +99,38 @@ class DeltaTree:
             raise GeometryError(
                 f"rect has {rect.ndim} dims, delta has {self.ndim}")
         data_id = int(data_id)
-        old = self._rects.pop(data_id, None)
-        if old is not None:
-            self._tree.delete(old, data_id)
-        self._tree.insert(rect, data_id)
-        self._rects[data_id] = rect
+        row = self._rows.get(data_id)
+        if row is None:
+            row = len(self._rows)
+            if row == len(self._ids):  # full: double the arrays
+                self._ids, self._los, self._his = (
+                    np.concatenate([a, np.empty_like(a)])
+                    for a in (self._ids, self._los, self._his))
+            self._ids[row] = data_id
+            self._rows[data_id] = row
+        self._los[row] = rect.lo
+        self._his[row] = rect.hi
         self._tombstones.discard(data_id)
         self._overridden.add(data_id)
-        self._arrays = None
         obs.inc("ingest.delta_ops", op="insert")
-
-    def insert_many(self, rects: RectArray,
-                    data_ids: Sequence[int]) -> None:
-        """Bulk upsert from one shared geometry buffer.
-
-        The fast path (all ids new to this layer) converts the whole
-        ``RectArray`` once — one vectorized validation already done by
-        the array, one ``tolist`` pass — instead of building numpy
-        views and :class:`Rect` wrappers per op; WAL replay on open
-        runs through here.
-        """
-        ids = [int(i) for i in data_ids]
-        if len(ids) != len(rects):
-            raise IngestError(
-                f"{len(ids)} ids for {len(rects)} rects")
-        if rects.ndim != self.ndim:
-            raise GeometryError(
-                f"rects have {rects.ndim} dims, delta has {self.ndim}")
-        if (len(set(ids)) == len(ids)
-                and not any(i in self._rects for i in ids)):
-            pairs = self._tree.insert_many(rects, ids)
-            for data_id, rect in pairs:
-                self._rects[data_id] = rect
-                self._tombstones.discard(data_id)
-                self._overridden.add(data_id)
-            obs.inc("ingest.delta_ops", len(ids), op="insert")
-        else:
-            # Duplicate or re-upserted ids: order matters, take the
-            # one-op path which handles replacement (and counts).
-            for data_id, rect in zip(ids, rects):
-                self.insert(data_id, rect)
-        self._arrays = None
 
     def delete(self, data_id: int) -> bool:
         """Tombstone ``data_id``; returns True when this layer itself
         held a live entry for it (base-only ids still tombstone)."""
         data_id = int(data_id)
-        old = self._rects.pop(data_id, None)
-        if old is not None:
-            self._tree.delete(old, data_id)
-            self._arrays = None
+        row = self._rows.pop(data_id, None)
+        if row is not None:
+            last = len(self._rows)
+            if row != last:
+                moved = int(self._ids[last])
+                self._ids[row] = moved
+                self._los[row] = self._los[last]
+                self._his[row] = self._his[last]
+                self._rows[moved] = row
         self._tombstones.add(data_id)
         self._overridden.add(data_id)
         obs.inc("ingest.delta_ops", op="delete")
-        return old is not None
+        return row is not None
 
     def apply(self, op: WalOp) -> None:
         """Apply one WAL op (the replay/write entry point)."""
@@ -161,70 +143,34 @@ class DeltaTree:
         else:
             raise IngestError(f"lsn {op.lsn}: unknown op {op.op!r}")
 
-    def apply_many(self, ops: Iterable[WalOp]) -> int:
-        """Replay a stream of ops, batching runs of fresh inserts
-        through :meth:`insert_many`; returns how many ops applied."""
-        batch_ids: list[int] = []
-        batch_rects: list[Rect] = []
-        applied = 0
-
-        def flush() -> None:
-            if not batch_ids:
-                return
-            self.insert_many(RectArray.from_rects(batch_rects),
-                             batch_ids)
-            batch_ids.clear()
-            batch_rects.clear()
-
-        for op in ops:
-            if (op.op == "insert" and op.rect is not None
-                    and op.data_id not in self._rects
-                    and op.data_id not in batch_ids):
-                batch_ids.append(op.data_id)
-                batch_rects.append(op.rect)
-            else:
-                flush()
-                self.apply(op)
-            applied += 1
-        flush()
-        return applied
-
     # -- queries -----------------------------------------------------------
 
     def search(self, query: Rect) -> list[int]:
-        """Live delta ids intersecting ``query``."""
-        return self._tree.search(query)
-
-    def _id_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ids, los, his)`` arrays over the live entries (cached)."""
-        if self._arrays is None:
-            n = len(self._rects)
-            ids = np.empty(n, dtype=np.int64)
-            los = np.empty((n, self.ndim), dtype=np.float64)
-            his = np.empty((n, self.ndim), dtype=np.float64)
-            for i, (data_id, rect) in enumerate(self._rects.items()):
-                ids[i] = data_id
-                los[i] = rect.lo
-                his[i] = rect.hi
-            self._arrays = (ids, los, his)
-        return self._arrays
+        """Live delta ids intersecting ``query`` (closed bounds)."""
+        if query.ndim != self.ndim:
+            raise GeometryError(
+                f"query has {query.ndim} dims, delta has {self.ndim}")
+        n = len(self._rows)
+        hit = np.logical_and(
+            (self._los[:n] <= np.asarray(query.hi)).all(axis=1),
+            (self._his[:n] >= np.asarray(query.lo)).all(axis=1))
+        return self._ids[:n][hit].tolist()
 
     def knn_candidates(self, point: Sequence[float],
                        exclude: set[int] | frozenset[int] | None = None
                        ) -> list[tuple[int, float]]:
         """``(id, distance)`` for every live entry (minus ``exclude``),
-        by vectorized MINDIST — the delta is small, so brute force beats
-        maintaining a second spatial index for nearest-neighbour."""
-        ids, los, his = self._id_arrays()
-        if len(ids) == 0:
+        by vectorized MINDIST over the live rows."""
+        n = len(self._rows)
+        if n == 0:
             return []
         q = np.asarray([float(c) for c in point], dtype=np.float64)
         if q.shape != (self.ndim,):
             raise GeometryError(
                 f"point has {q.shape[0]} dims, delta has {self.ndim}")
-        dists = _min_dists(los, his, q)
+        dists = _min_dists(self._los[:n], self._his[:n], q)
         out: list[tuple[int, float]] = []
-        for data_id, dist in zip(ids.tolist(), dists.tolist()):
+        for data_id, dist in zip(self._ids[:n].tolist(), dists.tolist()):
             if exclude is None or data_id not in exclude:
-                out.append((int(data_id), float(dist)))
+                out.append((data_id, dist))
         return out

@@ -10,7 +10,7 @@ every earlier layer's answer for that id.
 
 Window and point queries run the base search through the full serving
 hook set (deadlines, quarantine, degraded reads) and add in each
-layer's R*-tree hits, dropping shadowed ids.  kNN over-fetches from
+layer's scanned hits, dropping shadowed ids.  kNN over-fetches from
 the base (``k`` plus the total shadowed-id count bounds how many base
 neighbours can be invalidated), brute-forces the small deltas with the
 same vectorized MINDIST the paged walk uses, and merges by

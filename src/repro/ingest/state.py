@@ -43,14 +43,12 @@ class IngestState:
     """Everything the server needs to accept writes durably."""
 
     def __init__(self, tree_path: str, wal: WriteAheadLog, *,
-                 ndim: int, max_wal_bytes: int = DEFAULT_WAL_LIMIT,
-                 delta_capacity: int = 16):
+                 ndim: int, max_wal_bytes: int = DEFAULT_WAL_LIMIT):
         self.tree_path = tree_path
         self.wal = wal
         self.ndim = ndim
         self.max_wal_bytes = max_wal_bytes
-        self.delta_capacity = delta_capacity
-        self.live = DeltaTree(ndim, capacity=delta_capacity)
+        self.live = DeltaTree(ndim)
         self._frozen: list[DeltaTree] = []
         self.merging = False
         self.writes_acked = 0
@@ -60,7 +58,6 @@ class IngestState:
     @classmethod
     def open(cls, tree_path: str | os.PathLike[str], *, ndim: int,
              max_wal_bytes: int = DEFAULT_WAL_LIMIT,
-             delta_capacity: int = 16,
              crash_plan: CrashPlan | None = None
              ) -> tuple["IngestState", str]:
         """Recover ingest state from disk.
@@ -81,9 +78,10 @@ class IngestState:
             crash_plan=crash_plan,
         )
         state = cls(tree_path, wal, ndim=ndim,
-                    max_wal_bytes=max_wal_bytes,
-                    delta_capacity=delta_capacity)
-        replayed = state.live.apply_many(wal.iter_ops())
+                    max_wal_bytes=max_wal_bytes)
+        replayed = 0
+        for replayed, op in enumerate(wal.iter_ops(), 1):
+            state.live.apply(op)
         if replayed:
             obs.inc("ingest.replayed_ops", replayed)
         return state, base_path
@@ -131,7 +129,7 @@ class IngestState:
         """
         self.wal.seal_active()
         self._frozen.append(self.live)
-        self.live = DeltaTree(self.ndim, capacity=self.delta_capacity)
+        self.live = DeltaTree(self.ndim)
         self.merging = True
 
     def finish_merge(self, merged_seq: int) -> None:

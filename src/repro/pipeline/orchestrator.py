@@ -493,9 +493,9 @@ def parallel_bulk_load(
         else:
             if staging.exists("plan.json"):
                 raise PipelineError(
-                    f"{staging.file('plan.json')} already exists; pass "
-                    "resume=True to continue it or remove the staging "
-                    "directory")
+                    f"{staging.file('plan.json')} already exists; resume "
+                    "the build (resume=True, or --resume on the command "
+                    "line) or remove the staging directory")
             if store is None:
                 store = MemoryPageStore(required_page_size(capacity,
                                                            rects.ndim))

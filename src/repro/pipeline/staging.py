@@ -20,9 +20,11 @@ rules that make a staging directory crash-safe are small and uniform:
   :class:`~repro.pipeline.PoisonShard` so the healthy shards' work is
   not thrown away) call :meth:`StagingDir.keep` first.
 
-:func:`atomic_publish` is the only place in the package that renames a
-file: every other writer, the external sorter's crash-clean spill runs
-(:mod:`repro.core.packing.external`) included, publishes through it,
+:func:`atomic_publish` and :func:`publish_file` (for a file written
+in place first, such as the tree ``repro build`` assembles beside its
+target) are the only places in the package that rename a file: every
+other writer, the external sorter's crash-clean spill runs
+(:mod:`repro.core.packing.external`) included, publishes through them,
 and lint rule RL008 flags a rename anywhere else.
 
 This module also owns the *CRC'd JSON record*, the one format behind
@@ -50,6 +52,7 @@ __all__ = [
     "StagingError",
     "StagingDir",
     "atomic_publish",
+    "publish_file",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_save_npy",
@@ -82,6 +85,22 @@ def atomic_publish(path: str | os.PathLike,
     with open(tmp, "wb") as f:
         write(f)
         f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+    return path
+
+
+def publish_file(tmp: str | os.PathLike, path: str | os.PathLike) -> str:
+    """Publish the finished, closed file ``tmp`` at ``path``: fsync it,
+    then rename it over whatever ``path`` held.
+
+    For a file another writer filled in place, such as the page store
+    ``repro build`` assembles its tree in: a reader of ``path`` sees
+    the old file or the new one, and a writer that fails before
+    calling this leaves ``path`` untouched.
+    """
+    tmp, path = os.fspath(tmp), os.fspath(path)
+    with open(tmp, "r+b") as f:
         os.fsync(f.fileno())
     os.replace(tmp, path)
     return path

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-from ..core.geometry import GeometryError, Rect, RectArray
+from ..core.geometry import GeometryError, Rect
 from .node import Entry, Node, RTreeError
 from .split import SplitAlgorithm, make_split
 
@@ -157,35 +157,6 @@ class RTree:
         """Insert many ``(rect, data_id)`` pairs."""
         for rect, data_id in items:
             self.insert(rect, data_id)
-
-    def insert_many(self, rects: "RectArray",
-                    data_ids: Sequence[int]) -> list[tuple[int, Rect]]:
-        """Bulk insert from one shared geometry buffer.
-
-        ``rects`` arrives already validated (the :class:`RectArray`
-        constructor vectorizes the finiteness and lo<=hi checks), so
-        this converts the whole buffer to Python floats in one
-        ``tolist`` pass instead of allocating a numpy row view per op —
-        the per-op path the streaming-ingest delta replay measured as
-        pure overhead.  Returns the inserted ``(data_id, rect)`` pairs
-        in insertion order.
-        """
-        if rects.ndim != self.ndim:
-            raise GeometryError(
-                f"rects have {rects.ndim} dims, tree has {self.ndim}")
-        if len(data_ids) != len(rects):
-            raise RTreeError(
-                f"{len(data_ids)} data_ids for {len(rects)} rects")
-        los = rects.los.tolist()
-        his = rects.his.tolist()
-        out: list[tuple[int, Rect]] = []
-        for lo, hi, data_id in zip(los, his, data_ids):
-            rect = Rect(tuple(lo), tuple(hi))
-            self._insert_entry(Entry(rect=rect, data_id=int(data_id)),
-                               level=0)
-            self._size += 1
-            out.append((int(data_id), rect))
-        return out
 
     def _insert_entry(self, entry: Entry, level: int) -> None:
         node = self._choose_node(entry.rect, level)

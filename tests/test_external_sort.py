@@ -1,5 +1,7 @@
 """Unit tests for external-memory sorting and bulk loading."""
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,25 @@ class TestExternalSorter:
         sorter.close()
         assert not any(tmp_path.iterdir())
 
+    def test_spill_runs_removed_on_clean_exit_and_exception(
+            self, tmp_path, monkeypatch):
+        # The default spill directory lives under the system temp dir.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with ExternalRectSorter(2, chunk_size=4) as sorter:
+            for i in range(10):
+                sorter.add(float(i), i, (0.0, 0.0), (1.0, 1.0))
+            assert sorter.run_count == 2
+            assert any(tmp_path.iterdir())
+        assert not any(tmp_path.iterdir())  # clean exit removes the runs
+
+        with pytest.raises(RuntimeError):
+            with ExternalRectSorter(2, chunk_size=4) as sorter:
+                for i in range(10):
+                    sorter.add(float(i), i, (0.0, 0.0), (1.0, 1.0))
+                assert any(tmp_path.iterdir())
+                raise RuntimeError("boom")
+        assert not any(tmp_path.iterdir())  # exception removes them too
+
 
 class TestExternalStrOrder:
     def test_matches_in_memory_str_leaf_tiles(self, rng):
@@ -157,93 +178,3 @@ class TestExternalBulkLoad:
         recs = ((0.0, i, tuple(lo[i]), tuple(hi[i])) for i in range(400))
         tree, _ = external_bulk_load(recs, 2, capacity=16)
         validate_paged(tree, range(400))
-
-
-class TestStagedSpillRuns:
-    """Crash-clean staging for spill runs (the resumable-sort satellite
-    of the parallel pipeline): atomic publication, context-managed
-    cleanup, and adoption of published runs by a resuming sorter."""
-
-    def test_staged_runs_removed_on_clean_exit_and_exception(self, tmp_path):
-        staging = tmp_path / "spills"
-        with ExternalRectSorter(2, chunk_size=4,
-                                staging=staging) as sorter:
-            for i in range(10):
-                sorter.add(float(i), i, (0.0, 0.0), (1.0, 1.0))
-            assert sorter.run_count == 2
-            assert staging.exists()
-        assert not staging.exists()  # clean exit removes the staging
-
-        with pytest.raises(RuntimeError):
-            with ExternalRectSorter(2, chunk_size=4,
-                                    staging=staging) as sorter:
-                for i in range(10):
-                    sorter.add(float(i), i, (0.0, 0.0), (1.0, 1.0))
-                raise RuntimeError("boom")
-        assert not staging.exists()  # exception removes it too
-
-    def test_reuse_runs_adopts_published_spills(self, tmp_path):
-        staging = tmp_path / "spills"
-        records = [(float(i), i, (float(i), 0.0), (float(i) + 1.0, 1.0))
-                   for i in range(20)]
-
-        # A "killed" sorter: spilled 16 records into 4 published runs,
-        # 2 more still in the in-memory buffer (lost with the crash);
-        # keep() stands in for SIGKILL here.
-        first = ExternalRectSorter(2, chunk_size=4, staging=staging)
-        for rec in records[:18]:
-            first.add(rec[0], rec[1], rec[2], rec[3])
-        first.keep()
-        first.close()
-        assert staging.exists()
-
-        # The resume adopts every published run and is told how many
-        # records it holds, so the caller re-feeds only the rest.
-        second = ExternalRectSorter(2, chunk_size=4, staging=staging,
-                                    reuse_runs=True)
-        assert second.resumed_records == 16
-        assert len(second) == 16
-        for rec in records[16:]:
-            second.add(rec[0], rec[1], rec[2], rec[3])
-        merged = list(second.sorted_records())
-        assert [r[1] for r in merged] == list(range(20))
-        second.close()
-        assert not staging.exists()
-
-    def test_reuse_sweeps_torn_tmp_files(self, tmp_path):
-        staging = tmp_path / "spills"
-        sorter = ExternalRectSorter(2, chunk_size=4, staging=staging)
-        for i in range(8):
-            sorter.add(float(i), i, (0.0, 0.0), (1.0, 1.0))
-        sorter.keep()
-        sorter.close()
-        # A crash mid-spill leaves pid-suffixed litter, never a torn run.
-        (staging / "run-000099.bin.tmp-1234").write_bytes(b"torn")
-        resumed = ExternalRectSorter(2, chunk_size=4, staging=staging,
-                                     reuse_runs=True)
-        assert resumed.resumed_records == 8
-        assert not (staging / "run-000099.bin.tmp-1234").exists()
-        resumed.close()
-
-    def test_reuse_rejects_damaged_run(self, tmp_path):
-        staging = tmp_path / "spills"
-        sorter = ExternalRectSorter(2, chunk_size=4, staging=staging)
-        for i in range(8):
-            sorter.add(float(i), i, (0.0, 0.0), (1.0, 1.0))
-        sorter.keep()
-        sorter.close()
-        run = next(p for p in sorted(staging.iterdir())
-                   if p.name.startswith("run-"))
-        run.write_bytes(run.read_bytes()[:-3])  # truncate at rest
-        with pytest.raises(PackingError, match="whole number"):
-            ExternalRectSorter(2, chunk_size=4, staging=staging,
-                               reuse_runs=True)
-
-    def test_reuse_without_staging_is_an_error(self):
-        with pytest.raises(PackingError, match="staging"):
-            ExternalRectSorter(2, reuse_runs=True)
-
-    def test_spill_dir_and_staging_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(PackingError, match="not both"):
-            ExternalRectSorter(2, spill_dir=str(tmp_path),
-                               staging=tmp_path / "st")

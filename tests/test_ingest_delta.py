@@ -1,12 +1,14 @@
-"""DeltaTree semantics: last-writer-wins upserts, tombstones, the bulk
-``insert_many``/``apply_many`` fast paths matching one-op application
-exactly, and the ``ingest.*`` metric counters."""
+"""DeltaTree semantics: last-writer-wins upserts, tombstones, the row
+bookkeeping behind them checked against a dict oracle, and the
+``ingest.*`` metric counters."""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.core.geometry import GeometryError, Rect, RectArray
-from repro.ingest.delta import DeltaTree
+from repro.core.geometry import GeometryError, Rect
+from repro.ingest.delta import _INITIAL_ROWS, DeltaTree
 from repro.ingest.wal import IngestError, WalOp
 from repro.obs import runtime as obs
 
@@ -18,9 +20,14 @@ def _rect(i: int, size: float = 1.0) -> Rect:
                 (float(i) + size, float(i) + size))
 
 
-def _random_rects(rng, n):
-    lo = rng.random((n, NDIM)) * 0.9
-    return RectArray(lo, lo + rng.random((n, NDIM)) * 0.1)
+def _random_rect(rng, size: float = 0.1) -> Rect:
+    lo = rng.random(NDIM) * 0.9
+    return Rect(tuple(lo), tuple(lo + rng.random(NDIM) * size))
+
+
+def _min_dist(rect: Rect, point) -> float:
+    return math.sqrt(sum(max(lo - p, 0.0, p - hi) ** 2
+                         for lo, hi, p in zip(rect.lo, rect.hi, point)))
 
 
 class TestUpsertsAndTombstones:
@@ -63,61 +70,8 @@ class TestUpsertsAndTombstones:
         d = DeltaTree(2)
         with pytest.raises(GeometryError):
             d.insert(1, Rect((0.0,), (1.0,)))
-
-
-class TestBulkPaths:
-    def test_insert_many_matches_sequential(self, rng):
-        rects = _random_rects(rng, 100)
-        ids = list(range(100))
-        bulk = DeltaTree(NDIM)
-        bulk.insert_many(rects, ids)
-        slow = DeltaTree(NDIM)
-        for i, r in zip(ids, rects):
-            slow.insert(i, r)
-        assert len(bulk) == len(slow) == 100
-        for q in _random_rects(rng, 20):
-            assert sorted(bulk.search(q)) == sorted(slow.search(q))
-
-    def test_insert_many_with_duplicates_is_last_writer_wins(self):
-        d = DeltaTree(NDIM)
-        rects = RectArray.from_rects([_rect(0), _rect(5), _rect(9)])
-        d.insert_many(rects, [1, 2, 1])
-        assert len(d) == 2
-        assert d.get(1) == _rect(9)
-
-    def test_insert_many_over_existing_replaces(self):
-        d = DeltaTree(NDIM)
-        d.insert(3, _rect(0))
-        d.insert_many(RectArray.from_rects([_rect(8)]), [3])
-        assert d.get(3) == _rect(8)
-        assert d.search(_rect(0, 0.5)) == []
-
-    def test_insert_many_length_mismatch(self):
-        d = DeltaTree(NDIM)
-        with pytest.raises(IngestError):
-            d.insert_many(RectArray.from_rects([_rect(1)]), [1, 2])
-
-    def test_apply_many_equals_one_by_one(self, rng):
-        ops = []
-        lsn = 0
-        for i in range(120):
-            lsn += 1
-            roll = rng.random()
-            data_id = int(rng.integers(0, 40))
-            if roll < 0.7:
-                ops.append(WalOp(lsn, "insert", data_id, _rect(data_id)))
-            else:
-                ops.append(WalOp(lsn, "delete", data_id, None))
-        batched = DeltaTree(NDIM)
-        assert batched.apply_many(ops) == len(ops)
-        single = DeltaTree(NDIM)
-        for op in ops:
-            single.apply(op)
-        assert dict(batched.items()) == dict(single.items())
-        assert batched.tombstone_count == single.tombstone_count
-        assert batched.overridden == single.overridden
-        for q in _random_rects(rng, 20):
-            assert sorted(batched.search(q)) == sorted(single.search(q))
+        with pytest.raises(GeometryError):
+            d.search(Rect((0.0,), (1.0,)))
 
     def test_apply_rejects_malformed_ops(self):
         d = DeltaTree(NDIM)
@@ -125,6 +79,73 @@ class TestBulkPaths:
             d.apply(WalOp(1, "insert", 1, None))
         with pytest.raises(IngestError):
             d.apply(WalOp(1, "upsert", 1, _rect(1)))
+        assert len(d) == 0 and not d.overridden
+
+
+class TestRowBookkeeping:
+    """Rows move on delete (the last row fills the hole), so every
+    accessor is checked against a plain dict after every op."""
+
+    def _check(self, d, oracle, tombstones, pool, rng):
+        assert len(d) == len(oracle)
+        assert d.tombstone_count == len(tombstones)
+        assert d.overridden == set(oracle) | tombstones
+        for data_id in pool:
+            assert d.get(data_id) == oracle.get(data_id)
+            assert d.is_tombstoned(data_id) == (data_id in tombstones)
+        windows = [_random_rect(rng, size=0.4) for _ in range(3)]
+        if oracle:  # closed bounds: a corner touches its own rect
+            corner = oracle[sorted(oracle)[0]]
+            windows += [Rect.from_point(corner.lo),
+                        Rect.from_point(corner.hi)]
+        for q in windows:
+            got = d.search(q)
+            assert all(type(i) is int for i in got)
+            assert sorted(got) == sorted(
+                i for i, r in oracle.items() if r.intersects(q))
+        point = tuple(rng.random(NDIM))
+        exclude = {i for i in oracle if rng.random() < 0.2}
+        got = d.knn_candidates(point, exclude=exclude)
+        assert sorted(i for i, _ in got) == sorted(set(oracle) - exclude)
+        for data_id, dist in got:
+            assert dist == pytest.approx(_min_dist(oracle[data_id], point))
+
+    def test_matches_a_dict_oracle(self):
+        rng = np.random.default_rng(2026)
+        d = DeltaTree(NDIM)
+        oracle: dict[int, Rect] = {}
+        tombstones: set[int] = set()
+        pool = range(200)
+
+        def insert(data_id):
+            rect = _random_rect(rng)
+            d.insert(data_id, rect)
+            oracle[data_id] = rect
+            tombstones.discard(data_id)
+
+        def delete(data_id):
+            assert d.delete(data_id) is (data_id in oracle)
+            oracle.pop(data_id, None)
+            tombstones.add(data_id)
+
+        # Scripted cases: the only row, a re-inserted deleted id, an
+        # upsert in place, the last row, a middle row, the first row.
+        script = [(insert, 1), (delete, 1), (insert, 1), (insert, 2),
+                  (insert, 3), (insert, 2), (insert, 4), (delete, 4),
+                  (delete, 2), (delete, 1), (delete, 3), (insert, 3)]
+        for op, data_id in script:
+            op(data_id)
+            self._check(d, oracle, tombstones, pool, rng)
+        peak = 0
+        for _ in range(600):
+            data_id = int(rng.integers(0, len(pool)))
+            if rng.random() < 0.65:
+                insert(data_id)
+            else:
+                delete(data_id)
+            peak = max(peak, len(d))
+            self._check(d, oracle, tombstones, pool, rng)
+        assert peak > _INITIAL_ROWS  # the arrays grew at least once
 
 
 class TestKnnCandidates:
@@ -153,9 +174,9 @@ class TestMetrics:
         with obs.telemetry() as (_, registry):
             d = DeltaTree(NDIM)
             d.insert(1, _rect(1))
-            d.insert_many(
-                RectArray.from_rects([_rect(2), _rect(3)]), [2, 3])
-            d.delete(2)
+            d.apply(WalOp(1, "insert", 2, _rect(2)))
+            d.apply(WalOp(2, "insert", 3, _rect(3)))
+            d.apply(WalOp(3, "delete", 2, None))
             ins = registry.counter("ingest.delta_ops", op="insert")
             dels = registry.counter("ingest.delta_ops", op="delete")
             assert ins.value == 3

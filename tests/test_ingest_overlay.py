@@ -83,7 +83,7 @@ class TestSingleLayer:
     def test_randomized_interleaving_matches_rebuild(self, rng):
         oracle = _random_entries(rng, range(300))
         base = _pack(oracle)
-        delta = DeltaTree(NDIM, capacity=8)
+        delta = DeltaTree(NDIM)
         _apply_random_ops(rng, oracle, [delta], steps=250,
                           next_id=10_000)
         overlay = OverlaySearcher(base.searcher(64), (delta,))
@@ -119,10 +119,10 @@ class TestFrozenPlusLive:
         shadowing frozen-layer ids — land in the live layer."""
         oracle = _random_entries(rng, range(200))
         base = _pack(oracle)
-        frozen = DeltaTree(NDIM, capacity=8)
+        frozen = DeltaTree(NDIM)
         next_id = _apply_random_ops(rng, oracle, [frozen], steps=120,
                                     next_id=10_000)
-        live = DeltaTree(NDIM, capacity=8)
+        live = DeltaTree(NDIM)
         _apply_random_ops(rng, oracle, [frozen, live], steps=120,
                           next_id=next_id)
         overlay = OverlaySearcher(base.searcher(64), (frozen, live))
@@ -158,7 +158,7 @@ class TestDistanceTies:
         shapes = [(lo, tuple(x + 0.3 for x in lo)) for lo, _ in shapes]
         oracle = {i: shapes[i % len(shapes)] for i in range(200)}
         base = _pack(oracle)
-        delta = DeltaTree(NDIM, capacity=8)
+        delta = DeltaTree(NDIM)
         for step in range(120):
             data_id = (int(rng.integers(0, 200)) if step % 3
                        else 10_000 + step)
