@@ -53,6 +53,8 @@ from .protocol import (
     OPS,
     PROTOCOL_VERSION,
     QUERY_OPS,
+    REQUEST_LINE_LIMIT,
+    RESPONSE_LINE_LIMIT,
     WRITE_OPS,
     BadRequest,
     DeadlineExceeded,
@@ -78,6 +80,8 @@ from .supervisor import FlapDetector, RestartBackoff, WorkerState
 __all__ = [
     # protocol
     "PROTOCOL_VERSION",
+    "REQUEST_LINE_LIMIT",
+    "RESPONSE_LINE_LIMIT",
     "QUERY_OPS",
     "WRITE_OPS",
     "ADMIN_OPS",

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..core.geometry import Rect
 from .protocol import (
+    RESPONSE_LINE_LIMIT,
     Request,
     Response,
     ServeError,
@@ -59,6 +60,10 @@ class QueryClient:
         self._host = host
         self._port = port
         self._reconnect = reconnect
+        #: Set when a response overran :data:`RESPONSE_LINE_LIMIT`: the
+        #: reader lost its place in the stream, so the connection is
+        #: closed and reads as dropped until a re-dial replaces it.
+        self._dropped = False
         #: Successful re-dials since :meth:`connect`.
         self.reconnects_total = 0
 
@@ -71,7 +76,8 @@ class QueryClient:
         ``reconnect`` enables transparent re-dial-and-retry on dropped
         connections (see the module docstring for its semantics).
         """
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=RESPONSE_LINE_LIMIT)
         return cls(reader, writer, host=host, port=port,
                    reconnect=reconnect)
 
@@ -105,13 +111,25 @@ class QueryClient:
         return resp
 
     async def _send_once(self, req: Request) -> bytes:
-        """One write + readline; a dead connection reads as ``b""``."""
+        """One write + readline; a dead connection reads as ``b""``.
+
+        A response line longer than :data:`RESPONSE_LINE_LIMIT` raises
+        :class:`ServeError` and drops the connection."""
+        if self._dropped:
+            return b""
+        line = encode_request(req)
         try:
-            self._writer.write(encode_request(req))
+            self._writer.write(line)
             await self._writer.drain()
             return await self._reader.readline()
         except (ConnectionResetError, BrokenPipeError, OSError):
             return b""
+        except ValueError:  # readline overran the stream's limit
+            self._dropped = True
+            self._writer.close()
+            raise ServeError(
+                f"response line exceeds {RESPONSE_LINE_LIMIT} bytes; "
+                "connection closed") from None
 
     async def _redial(self) -> None:
         """Reconnect with the policy's seeded full-jitter schedule."""
@@ -127,10 +145,11 @@ class QueryClient:
                 await asyncio.sleep(delay)
             try:
                 self._reader, self._writer = await asyncio.open_connection(
-                    self._host, self._port)
+                    self._host, self._port, limit=RESPONSE_LINE_LIMIT)
             except OSError as exc:
                 last_exc = exc
                 continue
+            self._dropped = False
             self.reconnects_total += 1
             return
         raise ServeError(

@@ -63,12 +63,14 @@ from __future__ import annotations
 
 import json
 from typing import Any
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from ..core.geometry import GeometryError, Rect
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "REQUEST_LINE_LIMIT",
+    "RESPONSE_LINE_LIMIT",
     "QUERY_OPS",
     "WRITE_OPS",
     "OPS",
@@ -94,6 +96,14 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
+
+#: Longest request line, newline aside, a server reads.  Past it the
+#: server answers one ``BadRequest`` and closes that connection.
+REQUEST_LINE_LIMIT = 1 << 16
+#: Longest response line, newline aside, a client reads: a whole-square
+#: ``search`` on a large tree runs to megabytes.  Past it the client
+#: raises :class:`ServeError` and drops that connection.
+RESPONSE_LINE_LIMIT = 1 << 24
 
 #: Operations that run a tree walk (deadline + admission controlled).
 QUERY_OPS = ("search", "point", "count", "knn")
@@ -243,14 +253,27 @@ class Response:
         raise exc_type(self.message or self.error or "request failed")
 
 
+#: Field names in declaration order, which is the order on the wire.
+_REQUEST_FIELDS = tuple(f.name for f in fields(Request))
+_RESPONSE_FIELDS = tuple(f.name for f in fields(Response))
+_RESPONSE_FIELD_SET = frozenset(_RESPONSE_FIELDS)
+
+
+def _payload(obj: Request | Response, names: tuple[str, ...]) -> dict:
+    """``obj``'s non-``None`` fields, uncopied: a deep copy would copy
+    every id of a window answer one by one, for ``json.dumps`` to read
+    once."""
+    return {name: value for name in names
+            if (value := getattr(obj, name)) is not None}
+
+
 def _encode(payload: dict) -> bytes:
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def encode_request(req: Request) -> bytes:
     """Request -> one JSON line (``None`` fields omitted)."""
-    payload = {k: v for k, v in asdict(req).items() if v is not None}
-    return _encode(payload)
+    return _encode(_payload(req, _REQUEST_FIELDS))
 
 
 def decode_request(line: bytes | str) -> Request:
@@ -323,8 +346,7 @@ def _bad_request(message: str, req_id: int) -> BadRequest:
 
 def encode_response(resp: Response) -> bytes:
     """Response -> one JSON line (``None`` fields omitted)."""
-    payload = {k: v for k, v in asdict(resp).items() if v is not None}
-    return _encode(payload)
+    return _encode(_payload(resp, _RESPONSE_FIELDS))
 
 
 def decode_response(line: bytes | str) -> Response:
@@ -335,5 +357,5 @@ def decode_response(line: bytes | str) -> Response:
         raise ServeError(f"response is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "ok" not in payload:
         raise ServeError(f"malformed response line: {line!r}")
-    known = {f for f in Response.__dataclass_fields__}
-    return Response(**{k: v for k, v in payload.items() if k in known})
+    return Response(**{k: v for k, v in payload.items()
+                       if k in _RESPONSE_FIELD_SET})

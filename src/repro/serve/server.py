@@ -90,6 +90,7 @@ from .query import execute, payload_for
 from .protocol import (
     PROTOCOL_VERSION,
     QUERY_OPS,
+    REQUEST_LINE_LIMIT,
     WRITE_OPS,
     BadRequest,
     IngestOverloaded,
@@ -639,6 +640,13 @@ class QueryServer:
         return Response(id=req.id, ok=False, op=req.op,
                         error=code, message=message)
 
+    def _bad_line(self, req_id: int, message: str) -> Response:
+        """``BadRequest`` for a line that never became a request."""
+        resp = self._error_response(Request(op="", id=req_id),
+                                    BadRequest.code, message)
+        resp.op = None  # unknown; omitted on the wire
+        return resp
+
     # -- socket layer ------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1",
@@ -646,7 +654,7 @@ class QueryServer:
         """Bind and start accepting clients; returns ``(host, port)``."""
         await self._start_pool()
         self._server = await asyncio.start_server(
-            self._serve_client, host, port
+            self._serve_client, host, port, limit=REQUEST_LINE_LIMIT
         )
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
@@ -687,7 +695,17 @@ class QueryServer:
         self.session_count += 1
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line overran REQUEST_LINE_LIMIT, and readline
+                    # lost the stream's place in it, so the next request
+                    # cannot be found: answer once and close.
+                    writer.write(encode_response(self._bad_line(
+                        0, f"request line exceeds {REQUEST_LINE_LIMIT} "
+                           "bytes; closing the connection")))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -695,10 +713,8 @@ class QueryServer:
                 try:
                     req = decode_request(line)
                 except BadRequest as exc:
-                    resp = self._error_response(
-                        Request(op="", id=getattr(exc, "request_id", 0)),
-                        exc.code, str(exc))
-                    resp.op = None  # unknown; omitted on the wire
+                    resp = self._bad_line(getattr(exc, "request_id", 0),
+                                          str(exc))
                 else:
                     resp = await self.handle_request(req)
                 writer.write(encode_response(resp))

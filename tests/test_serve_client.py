@@ -1,11 +1,13 @@
 """Client reconnect-with-backoff: seeded full-jitter redial via
-RetryPolicy.delays(), one-shot retransmit for read-only queries, and the
-reload cutover that is never auto-retried."""
+RetryPolicy.delays(), one-shot retransmit for read-only queries, the
+reload cutover that is never auto-retried, and response lines past the
+client's read bound."""
 
 import asyncio
 
 import pytest
 
+import repro.serve.client as client_module
 from repro import RectArray, SortTileRecursive, bulk_load
 from repro.core.geometry import Rect
 from repro.serve import QueryClient, QueryServer, ServeError
@@ -168,5 +170,52 @@ class TestReconnect:
                                       (0.2, 0.2)))).raise_for_error()
             await client.aclose()
             await server.aclose()
+
+        run(scenario())
+
+
+class TestLargeResponses:
+    WHOLE = Rect((0.0, 0.0), (1.0, 1.0))
+
+    def test_whole_square_search_returns_every_id(self, rng):
+        # About 110 KB on one line: past asyncio's default 64 KiB.
+        tree = _build(rng, n=20_000)
+
+        async def scenario():
+            async with QueryServer(tree, buffer_pages=64) as server:
+                async with await QueryClient.connect(
+                        *server.address) as client:
+                    resp = (await client.search(self.WHOLE)
+                            ).raise_for_error()
+                    assert resp.ids == list(range(20_000))
+                    assert (await client.ping())["version"] == 1
+
+        run(scenario())
+
+    @pytest.mark.parametrize("reconnect", [False, True])
+    def test_a_response_past_the_bound_is_typed_and_drops_the_connection(
+            self, rng, monkeypatch, reconnect):
+        monkeypatch.setattr(client_module, "RESPONSE_LINE_LIMIT", 4096)
+        tree = _build(rng, n=20_000)
+
+        async def scenario():
+            async with QueryServer(tree, buffer_pages=64) as server:
+                client = await QueryClient.connect(
+                    *server.address,
+                    reconnect=_policy() if reconnect else None)
+                with pytest.raises(ServeError, match="exceeds 4096 bytes"):
+                    await client.search(self.WHOLE)
+                # Never the rest of the oversized line, read as a reply.
+                if reconnect:
+                    assert (await client.ping())["version"] == 1
+                    assert client.reconnects_total == 1
+                    with pytest.raises(ServeError, match="exceeds 4096"):
+                        await client.search(self.WHOLE)
+                    assert (await client.ping())["version"] == 1
+                else:
+                    with pytest.raises(ServeError,
+                                       match="closed the connection"):
+                        await client.ping()
+                await client.aclose()
 
         run(scenario())

@@ -3,6 +3,7 @@ degraded reads over corrupted durable files, fsck-quarantine startup, and
 the health endpoints."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.core.geometry import Rect
 from repro.cli import main as cli_main
 from repro.fsck import fsck, read_quarantine, write_quarantine
 from repro.queries import point_queries, region_queries
-from repro.serve import QueryClient, QueryServer, Request
+from repro.serve import REQUEST_LINE_LIMIT, QueryClient, QueryServer, Request
 from repro.storage import FilePageStore, MemoryPageStore
 from repro.storage.faults import corrupt_pages
 from repro.storage.integrity import TRAILER_SIZE
@@ -115,6 +116,35 @@ class TestServedAnswersMatchOracle:
                 assert third["ok"] is True and third["id"] == 4
                 writer.close()
                 await writer.wait_closed()
+
+        run(scenario())
+
+    def test_oversized_request_line_gets_one_bad_request_then_eof(self, rng):
+        _, tree = _build(rng, n=500)
+        line = (b'{"op": "ping", "id": 5, "pad": "' + b"x" * 70_000
+                + b'"}\n')
+        assert len(line) > REQUEST_LINE_LIMIT
+
+        async def scenario():
+            async with QueryServer(tree) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(line)
+                await writer.drain()
+                replies = (await reader.read()).splitlines()  # to EOF
+                writer.close()
+                await writer.wait_closed()
+                assert len(replies) == 1
+                reply = json.loads(replies[0])
+                assert reply["ok"] is False
+                assert reply["error"] == "BadRequest"
+                assert reply["id"] == 0 and "op" not in reply
+                assert str(REQUEST_LINE_LIMIT) in reply["message"]
+                # The server lives on; only that connection closed.
+                async with await QueryClient.connect(host, port) as client:
+                    assert (await client.ping())["version"] == 1
+                    stats = await client.stats()
+                assert stats["errors"] == {"BadRequest": 1}
 
         run(scenario())
 
