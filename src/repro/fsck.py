@@ -10,11 +10,13 @@ trusted?*  It runs three phases, each strictly weaker failures short-cut:
    trailer (durable stores), and decode it with the node codec.  Every
    failure is collected, not just the first.  Verified pages are counted
    per trailer (checksum) version, so an operator can see which files
-   still verify on the slow version-1 path.
-3. **Structural walk** — when all pages are intact, reattach the tree and
-   check the R-tree invariants (MBR containment, level monotonicity,
+   still verify on the slow version-1 path.  This is the only pass over
+   the file: each page is read, verified and decoded once.
+3. **Structural walk** — when all pages are intact, walk the decoded
+   pages from the root and check the R-tree invariants (MBR
+   containment, level monotonicity, child pointers inside the file,
    reference counts, record counts) plus reachability: a committed page
-   no root-to-leaf path touches is reported as an orphan.
+   the walk never reaches is reported as an orphan.
 
 When the file has a streaming-ingest sidecar directory
 (``<path>.ingest/``, see :mod:`repro.ingest`), a fourth phase verifies
@@ -47,7 +49,7 @@ from .storage.integrity import (
     trailer_info,
     verify_trailer,
 )
-from .storage.page import PageFormatError, decode_node
+from .storage.page import NodePage, PageFormatError, decode_node
 from .storage.store import FilePageStore, StoreError
 
 __all__ = [
@@ -271,6 +273,7 @@ def _fsck_store(path: str | os.PathLike, *,
         report.recovered_pages = store.recovered_pages
 
         # -- phase 2 of 3: every committed page must verify and decode ----
+        nodes: list[NodePage] = []
         for pid in range(store.page_count):
             image = store.raw_read(pid)
             payload = image
@@ -283,7 +286,7 @@ def _fsck_store(path: str | os.PathLike, *,
                     continue
                 report.trailer_versions[trailer_info(image)["version"]] += 1
             try:
-                decode_node(payload, page_id=pid, source=path)
+                nodes.append(decode_node(payload, page_id=pid, source=path))
             except PageFormatError as exc:
                 report.decode_errors.append(str(exc))
                 report.bad_pages.append(pid)
@@ -312,13 +315,14 @@ def _fsck_store(path: str | os.PathLike, *,
                           ndim=report.tree["ndim"],
                           capacity=report.tree["capacity"],
                           size=report.tree["size"])
-        report.structural_errors.extend(iter_paged_violations(tree))
-        reachable = {pid for pid, _ in tree.iter_nodes()}
-        for pid in range(store.page_count):
-            if pid not in reachable:
-                report.structural_errors.append(
-                    f"page {pid} is committed but unreachable from the root"
-                )
+        # Every page decoded above, so the walk reads nothing; the pages
+        # it reaches are the reachable set.
+        reached: set[int] = set()
+        report.structural_errors.extend(
+            iter_paged_violations(tree, nodes=nodes, reached=reached))
+        report.structural_errors.extend(
+            f"page {pid} is committed but unreachable from the root"
+            for pid in range(store.page_count) if pid not in reached)
     except (StoreError, IntegrityError, PageFormatError) as exc:
         report.fatal = f"check aborted: {exc}"
     finally:

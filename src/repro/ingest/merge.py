@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.geometry import RectArray
+from ..core.geometry import Rect, RectArray
 from ..core.packing import SortTileRecursive
 from ..obs import runtime as obs
 from ..pipeline.staging import atomic_write_bytes, parse_record, \
@@ -201,22 +201,23 @@ def sweep_drained(tree_path: str | os.PathLike[str]) -> int:
     return removed
 
 
-def _read_base(path: str) -> tuple[dict[int, tuple[tuple[float, ...],
-                                                   tuple[float, ...]]],
+def _read_base(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                    int, int]:
-    """The base generation's logical set as ``{id: (lo, hi)}``, plus
-    its ``(ndim, capacity)``."""
+    """The base generation's leaf records as ``(ids, los, his)`` arrays,
+    concatenated in ``iter_level(0)`` order, plus its
+    ``(ndim, capacity)``."""
     store = FilePageStore.open_existing(path)
     try:
         tree = PagedRTree.from_store(store)
-        entries: dict[int, tuple[tuple[float, ...],
-                                 tuple[float, ...]]] = {}
+        ids = [np.empty(0, dtype=np.int64)]
+        los = [np.empty((0, tree.ndim))]
+        his = [np.empty((0, tree.ndim))]
         for _, node in tree.iter_level(0):
-            los = node.rects.los
-            his = node.rects.his
-            for i, data_id in enumerate(node.children):
-                entries[int(data_id)] = (tuple(los[i]), tuple(his[i]))
-        return entries, tree.ndim, tree.capacity
+            ids.append(node.children)
+            los.append(node.rects.los)
+            his.append(node.rects.his)
+        return (np.concatenate(ids), np.concatenate(los),
+                np.concatenate(his), tree.ndim, tree.capacity)
     finally:
         store.close()
 
@@ -258,29 +259,41 @@ def merge_segments(tree_path: str | os.PathLike[str], *,
         return None
 
     with obs.span("ingest.merge", segments=len(segments)):
-        entries, ndim, base_capacity = _read_base(base_path)
+        ids, los, his, ndim, base_capacity = _read_base(base_path)
         if capacity is None:
             capacity = base_capacity
+        # Last writer wins: each touched id's final rect, or None when
+        # its final op deleted it.
+        final: dict[int, Rect | None] = {}
         ops_applied = 0
         for segment in segments:
             for op in segment.ops:
-                if op.op == "insert" and op.rect is not None:
-                    entries[op.data_id] = (op.rect.lo, op.rect.hi)
-                else:
-                    entries.pop(op.data_id, None)
+                final[op.data_id] = op.rect if op.op == "insert" else None
                 ops_applied += 1
-        if not entries:
+        upserts = {i: r for i, r in final.items() if r is not None}
+        keep = ~np.isin(ids, list(final))
+        ids = np.concatenate([ids[keep],
+                              np.array(list(upserts), dtype=np.int64)])
+        # A sealed rect of another dimensionality fails the reshape.
+        los = np.concatenate([los[keep], np.array(
+            [r.lo for r in upserts.values()], dtype=np.float64
+        ).reshape(len(upserts), ndim)])
+        his = np.concatenate([his[keep], np.array(
+            [r.hi for r in upserts.values()], dtype=np.float64
+        ).reshape(len(upserts), ndim)])
+        if not len(ids):
             raise IngestError(
                 "merge would produce an empty tree; the packed format "
                 "cannot represent zero records — keep at least one "
                 "record or rebuild from scratch instead")
-
-        ids = np.array(sorted(entries), dtype=np.int64)
-        los = np.array([entries[int(i)][0] for i in ids],
-                       dtype=np.float64)
-        his = np.array([entries[int(i)][1] for i in ids],
-                       dtype=np.float64)
-        rects = RectArray(los, his, copy=False)
+        # Id-ascending, one row per id; a base id stored twice keeps
+        # its last copy in leaf order.
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        keep_last = np.append(ids[1:] != ids[:-1], True)
+        ids = ids[keep_last]
+        rects = RectArray(los[order[keep_last]], his[order[keep_last]],
+                          copy=False)
 
         new_generation = generation + 1
         out_path = generation_path(dir_path, new_generation)

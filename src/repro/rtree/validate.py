@@ -14,15 +14,17 @@ Checked invariants
 3. No node exceeds ``capacity`` entries; dynamic trees also respect the
    minimum fill for non-root nodes.
 4. The set of data ids stored at the leaves matches the expected multiset.
-5. Page-id graph of a paged tree is a proper tree: every non-root page is
-   referenced exactly once.
+5. Page-id graph of a paged tree is a proper tree: every child pointer
+   names a page inside the store, and every non-root page is referenced
+   exactly once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
+from ..storage.page import NodePage
 from .node import Node
 from .paged import PagedRTree
 from .tree import RTree
@@ -37,26 +39,42 @@ class ValidationError(AssertionError):
 
 def iter_paged_violations(tree: PagedRTree,
                           expected_ids: Iterable[int] | None = None,
+                          *, nodes: Sequence[NodePage] | None = None,
+                          reached: set[int] | None = None,
                           ) -> Iterator[str]:
     """Yield a message per violated invariant of a paged tree, in traversal
     order — the engine behind both :func:`validate_paged` (which raises on
     the first) and ``repro fsck`` (which reports them all).
 
     Covers MBR containment (parent entries must *equal* child MBRs — packed
-    trees keep them tight), level monotonicity, capacity, reference counts
-    (every non-root page reachable exactly once), and the leaf id multiset.
+    trees keep them tight), level monotonicity, capacity, child pointers
+    inside the store, reference counts (every non-root page reachable
+    exactly once), the record count, and the leaf id multiset when
+    ``expected_ids`` is given.
+
+    The root and the target of each child pointer are decoded once, so a
+    well-formed tree decodes each page once.  ``nodes`` supplies the
+    pages already decoded, indexed by page id (``repro fsck`` passes the
+    ones its page scan decoded), so the walk reads nothing.  ``reached``,
+    when given, collects the id of every page the walk reaches from the
+    root.
     """
+    page_count = tree.page_count
+    node_at = tree.read_node if nodes is None else nodes.__getitem__
     seen_pages: Counter[int] = Counter()
+    records = 0
     data_ids: list[int] = []
-    root = tree.root_node()
+    root = node_at(tree.root_page)
     if root.level != tree.height - 1:
         yield (f"root level {root.level} does not match height "
                f"{tree.height}")
 
-    stack = [(tree.root_page, None)]  # (page, expected mbr or None for root)
+    # (page, expected mbr or None for the root, its decoded node)
+    stack = [(tree.root_page, None, root)]
     while stack:
-        page_id, expected_mbr = stack.pop()
-        node = tree.read_node(page_id)
+        page_id, expected_mbr, node = stack.pop()
+        if reached is not None:
+            reached.add(page_id)
         if node.count > tree.capacity:
             yield (f"page {page_id} holds {node.count} > capacity "
                    f"{tree.capacity}")
@@ -65,18 +83,23 @@ def iter_paged_violations(tree: PagedRTree,
             yield (f"page {page_id}: parent entry {expected_mbr} != "
                    f"node MBR {mbr}")
         if node.is_leaf:
-            data_ids.extend(int(c) for c in node.children)
-        else:
-            for i in range(node.count):
-                child_page = int(node.children[i])
-                first_visit = child_page not in seen_pages
-                seen_pages[child_page] += 1
-                child = tree.read_node(child_page)
-                if child.level != node.level - 1:
-                    yield (f"page {child_page} at level {child.level} "
-                           f"under level-{node.level} parent")
-                if first_visit:
-                    stack.append((child_page, node.rects[i]))
+            records += node.count
+            if expected_ids is not None:
+                data_ids.extend(node.children.tolist())
+            continue
+        for i, child_page in enumerate(node.children.tolist()):
+            if not 0 <= child_page < page_count:
+                yield (f"page {page_id} entry {i} points at page "
+                       f"{child_page} outside [0, {page_count})")
+                continue
+            first_visit = child_page not in seen_pages
+            seen_pages[child_page] += 1
+            child = node_at(child_page)
+            if child.level != node.level - 1:
+                yield (f"page {child_page} at level {child.level} "
+                       f"under level-{node.level} parent")
+            if first_visit:
+                stack.append((child_page, node.rects[i], child))
 
     for page_id, refs in sorted(seen_pages.items()):
         if refs != 1:
@@ -84,9 +107,8 @@ def iter_paged_violations(tree: PagedRTree,
     if tree.root_page in seen_pages:
         yield "root page referenced by an internal node"
 
-    if len(data_ids) != len(tree):
-        yield (f"tree claims {len(tree)} records, leaves hold "
-               f"{len(data_ids)}")
+    if records != len(tree):
+        yield f"tree claims {len(tree)} records, leaves hold {records}"
     if expected_ids is not None:
         expected = Counter(int(i) for i in expected_ids)
         if Counter(data_ids) != expected:

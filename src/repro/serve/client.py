@@ -136,6 +136,9 @@ class QueryClient:
         policy = self._reconnect
         if policy is None or self._host is None or self._port is None:
             raise ServeError("server closed the connection")
+        # The old connection is dead; release its transport before
+        # replacing it, or the writer is collected unclosed.
+        await self._close_writer()
         last_exc: OSError | None = None
         # Try immediately, then once per backoff delay in the schedule.
         attempts = [0.0]
@@ -247,10 +250,13 @@ class QueryClient:
 
     async def aclose(self) -> None:
         """Close the connection."""
+        await self._close_writer()
+
+    async def _close_writer(self) -> None:
         self._writer.close()
         try:
             await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
+        except OSError:  # a dead socket may reset or refuse the close
             pass
 
     async def __aenter__(self) -> "QueryClient":

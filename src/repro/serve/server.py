@@ -559,10 +559,16 @@ class QueryServer:
             raise ReloadRejected(
                 f"fsck of {path} failed: "
                 f"{type(exc).__name__}: {exc}") from None
-        if not report.clean:
+        if report.bad_pages:
             raise ReloadRejected(
                 f"fsck found {len(set(report.bad_pages))} bad page(s) "
                 f"in {path}; refusing to cut over")
+        if not report.clean:
+            first = report.fatal or (report.structural_errors
+                                     + report.wal_errors)[0]
+            raise ReloadRejected(
+                f"fsck found {report.error_count} error(s) in {path}, "
+                f"first: {first}; refusing to cut over")
         store = None
         try:
             store = FilePageStore.open_existing(path)

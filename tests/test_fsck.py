@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,11 +17,14 @@ from repro.fsck import fsck
 from repro.ingest.merge import merge_segments
 from repro.ingest.wal import WriteAheadLog, ingest_dir, segment_name
 from repro.storage import FilePageStore, flip_bit
-from repro.storage.integrity import TRAILER_SIZE
-from repro.storage.page import required_page_size
+from repro.storage.integrity import TRAILER_SIZE, stamp_trailer
+from repro.storage.page import (
+    NodePage, decode_node, encode_node, required_page_size,
+)
 
 CAPACITY = 20
 PAGE_SIZE = required_page_size(CAPACITY, 2) + TRAILER_SIZE
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture
@@ -327,3 +332,198 @@ class TestFsckIngestSidecar:
             f.write(data)
         code = main(["fsck", str(path), "--no-manifest"])
         assert code == 1
+
+
+# -- one pass, same reports ---------------------------------------------------
+
+def _entry_offset(entry: int) -> int:
+    """Byte offset of a 2-d node entry's child pointer (16-byte header,
+    then 8-byte pointer + 4 float64 coordinates per entry)."""
+    return 16 + entry * (8 + 16 * 2)
+
+
+def _doctor(path, page, entry, *, child=None, dx=None):
+    """Rewrite one entry of ``page`` through the checksummed write path
+    (pointer to ``child``, low x moved by ``dx``) and recommit the tree
+    header, so trailers stay valid."""
+    with FilePageStore.open_existing(path) as store:
+        image = bytearray(store.peek_page(page))
+        offset = _entry_offset(entry)
+        if child is not None:
+            struct.pack_into("<q", image, offset, child)
+        if dx is not None:
+            (x,) = struct.unpack_from("<d", image, offset + 8)
+            struct.pack_into("<d", image, offset + 8, x + dx)
+        store.write_page(page, bytes(image))
+        store.set_tree_meta(store.tree_meta)
+
+
+def _children(path, page):
+    with FilePageStore.open_existing(path) as store:
+        node = decode_node(store.peek_page(page))
+    return node.children.tolist()
+
+
+def _root(path):
+    with FilePageStore.open_existing(path) as store:
+        return store.tree_meta["root_page"]
+
+
+def _flip(path):
+    with FilePageStore.open_existing(path) as store:
+        store.raw_write(3, flip_bit(store.raw_read(3), 777))
+
+
+def _garbage(path):
+    with FilePageStore.open_existing(path) as store:
+        bad = b"\xff" * (PAGE_SIZE - TRAILER_SIZE) + b"\x00" * TRAILER_SIZE
+        store.raw_write(2, stamp_trailer(bad, 2))
+
+
+def _orphan(path):
+    """Append a well-formed leaf no internal entry points at."""
+    with FilePageStore.open_existing(path) as store:
+        node = NodePage(level=0, children=np.arange(3, dtype=np.int64),
+                        rects=RectArray.from_points(np.full((3, 2), 0.5)))
+        pid = store.allocate()
+        store.write_page(pid, encode_node(node, store.payload_size)
+                         + b"\x00" * TRAILER_SIZE)
+        store.set_tree_meta(store.tree_meta)
+
+
+def _claim_more(path):
+    """Commit a header claiming seven records the leaves do not hold."""
+    with FilePageStore.open_existing(path) as store:
+        meta = store.tree_meta
+        store.set_tree_meta({**meta, "size": meta["size"] + 7})
+
+
+def _level_one(path):
+    return _children(path, _root(path))[0]
+
+
+#: Damage matrix: name -> doctoring applied to a fresh 500-point tree
+#: (25 leaves, two level-1 pages, root), or the legacy fixture to copy.
+DAMAGE = {
+    "clean": lambda path: None,
+    "trailer_bit_flip": _flip,
+    "decode_error": _garbage,
+    "mbr_nudge": lambda path: _doctor(path, _root(path), 0, dx=-0.5),
+    "child_at_wrong_level": lambda path: _doctor(
+        path, _root(path), 1, child=_children(path, _level_one(path))[0]),
+    "page_referenced_twice": lambda path: _doctor(
+        path, _level_one(path), 1,
+        child=_children(path, _level_one(path))[0]),
+    "orphan": _orphan,
+    "claimed_size_differs": _claim_more,
+    "checksum_v1_journaled": None,
+}
+
+#: ``FsckReport.as_dict()`` for every entry of :data:`DAMAGE`, recorded
+#: with the three-traversal check that preceded the one-pass one (the
+#: temporary directory reads ``<tmp>``).
+RECORDED = os.path.join(DATA, "fsck-damage-reports.json")
+
+
+def _damaged_tree(tmp_path, name):
+    if DAMAGE[name] is None:
+        src = os.path.join(DATA, "checksum-v1", "journaled")
+        shutil.copytree(src, tmp_path / name)
+        return tmp_path / name / "tree.rt"
+    rects = RectArray.from_points(np.random.default_rng(2024).random(
+        (500, 2)))
+    os.makedirs(tmp_path / name)
+    path = _durable_tree(tmp_path / name, rects)
+    DAMAGE[name](path)
+    return path
+
+
+def damage_reports(tmp_path) -> dict:
+    """Run ``fsck`` over the whole matrix; paths read ``<tmp>``."""
+    reports = {}
+    for name in DAMAGE:
+        report = fsck(_damaged_tree(tmp_path, name)).as_dict()
+        reports[name] = json.loads(
+            json.dumps(report).replace(str(tmp_path), "<tmp>"))
+    return reports
+
+
+class TestOnePass:
+    def test_damage_matrix_reports_match_the_recorded_ones(self, tmp_path):
+        with open(RECORDED) as f:
+            recorded = json.load(f)
+        assert set(recorded) == set(DAMAGE)
+        reports = damage_reports(tmp_path)
+        for name in DAMAGE:
+            assert reports[name] == recorded[name], name
+        # The matrix exercises every report field that can fail.
+        assert reports["clean"]["clean"]
+        assert reports["trailer_bit_flip"]["checksum_errors"]
+        assert reports["decode_error"]["decode_errors"]
+        assert reports["checksum_v1_journaled"]["journal_recovered"]
+        for name in ("mbr_nudge", "child_at_wrong_level",
+                     "page_referenced_twice", "orphan",
+                     "claimed_size_differs"):
+            assert reports[name]["structural_errors"], name
+
+    def test_clean_check_reads_and_decodes_each_page_once(
+            self, tmp_path, rects, monkeypatch):
+        path = _durable_tree(tmp_path, rects)
+        decoded: list[int] = []
+        read: list[int] = []
+
+        def counting_decode(data, *, page_id=None, source=None):
+            decoded.append(page_id)
+            return decode_node(data, page_id=page_id, source=source)
+
+        # Every module that imported the codec's function by name.
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro.")
+                    and getattr(module, "decode_node", None) is decode_node):
+                monkeypatch.setattr(module, "decode_node", counting_decode)
+        for name in ("raw_read", "_read"):
+            method = getattr(FilePageStore, name)
+
+            def counting(store, page_id, _method=method):
+                read.append(page_id)
+                return _method(store, page_id)
+
+            monkeypatch.setattr(FilePageStore, name, counting)
+        report = fsck(path)
+        assert report.clean, report.render()
+        pages = list(range(report.pages_checked))
+        assert sorted(decoded) == pages
+        assert sorted(read) == pages
+
+    def test_out_of_range_child_pointer_is_a_structural_error(
+            self, tmp_path, rng):
+        """A pointer past the file's last page is reported where it is,
+        and the walk goes on: the subtree it used to name is orphaned."""
+        path = _durable_tree(tmp_path, RectArray.from_points(
+            rng.random((2000, 2))))
+        root = _root(path)
+        orphaned = _children(path, root)[0]
+        _doctor(path, root, 0, child=10 ** 6)
+        report = fsck(path)
+        assert report.fatal is None
+        pages = report.pages_checked
+        assert (f"page {root} entry 0 points at page 1000000 outside "
+                f"[0, {pages})") in report.structural_errors
+        assert (f"page {orphaned} is committed but unreachable from the "
+                f"root") in report.structural_errors
+        assert "FATAL" not in report.render()
+
+    def test_pointer_cycle_is_reported_not_followed(self, tmp_path, rects):
+        """An entry naming the root is a reference-count error; the
+        reachability pass must not follow the cycle forever."""
+        path = _durable_tree(tmp_path, rects)
+        root = _root(path)
+        _doctor(path, root, 0, child=root)
+        reports = []
+        worker = threading.Thread(target=lambda: reports.append(fsck(path)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "fsck followed the cycle"
+        assert "root page referenced by an internal node" in \
+            reports[0].structural_errors

@@ -5,10 +5,14 @@ generation (never anything in between), replay still answers exactly,
 and re-running the merge converges on the oracle with no acked op lost
 or double-applied."""
 
+import hashlib
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import RectArray, SortTileRecursive, bulk_load
 from repro.core.geometry import Rect
@@ -21,7 +25,8 @@ from repro.ingest.merge import (
 )
 from repro.ingest.state import IngestState
 from repro.ingest.wal import (
-    IngestError, WriteAheadLog, ingest_dir, segment_name,
+    IngestError, WalSegment, WriteAheadLog, ingest_dir, segment_name,
+    segment_seq,
 )
 from repro.rtree.paged import PagedRTree
 from repro.storage import FilePageStore
@@ -186,6 +191,23 @@ class TestMergeBasics:
         assert os.path.exists(
             os.path.join(ingest_dir(tree_path), segment_name(1)))
 
+    @pytest.mark.parametrize("ndim", [1, 3])
+    def test_sealed_rect_of_another_dimensionality_is_refused(
+            self, tmp_path, ndim):
+        # Two such rects hold 2 * ndim coordinates; reshaped by row
+        # count alone they would pass as ``ndim`` rows of 2-d rects.
+        tree_path = str(tmp_path / "tree.rt")
+        _build_base(tree_path, _entries(range(10)))
+        with WriteAheadLog(ingest_dir(tree_path)) as wal:
+            for data_id in (100, 101):
+                wal.append("insert", data_id,
+                           Rect((0.0,) * ndim, (1.0,) * ndim))
+            wal.seal_active()
+        with pytest.raises(ValueError):
+            merge_segments(tree_path)
+        current, pointer = resolve_current(tree_path)
+        assert current == tree_path and pointer is None
+
 
 class TestKillResumability:
     def test_kill_at_every_write_boundary(self, tmp_path):
@@ -290,3 +312,140 @@ class TestPointerIntegrity:
         os.unlink(report.path)
         with pytest.raises(IngestError):
             resolve_current(tree_path)
+
+
+def _reference_merge(tree_path, out_path):
+    """The dict merge the array merge replaced: the current generation's
+    leaves into an ``{id: (lo, hi)}`` dict in ``iter_level(0)`` order,
+    the pending sealed ops applied in LSN order, ``sorted`` ids, then
+    ``bulk_load`` into ``out_path``.  Returns the record count (0:
+    nothing written)."""
+    base_path, pointer = resolve_current(tree_path)
+    entries = _read_logical(base_path)
+    with FilePageStore.open_existing(base_path) as store:
+        ndim, capacity = store.tree_meta["ndim"], store.tree_meta["capacity"]
+    dir_path = ingest_dir(tree_path)
+    merged_seq = pointer.merged_seq if pointer is not None else 0
+    pending = sorted((segment_seq(name), name)
+                     for name in os.listdir(dir_path)
+                     if (segment_seq(name) or 0) > merged_seq)
+    for _, name in pending:
+        segment = WalSegment.load(os.path.join(dir_path, name))
+        if not segment.sealed:
+            break
+        for op in segment.ops:
+            if op.op == "insert" and op.rect is not None:
+                entries[op.data_id] = (op.rect.lo, op.rect.hi)
+            else:
+                entries.pop(op.data_id, None)
+    if not entries:
+        return 0
+    ids = np.array(sorted(entries), dtype=np.int64)
+    los = np.array([entries[int(i)][0] for i in ids], dtype=np.float64)
+    his = np.array([entries[int(i)][1] for i in ids], dtype=np.float64)
+    page_size = required_page_size(capacity, ndim) + TRAILER_SIZE
+    store = FilePageStore(out_path, page_size, checksums=True)
+    bulk_load(RectArray(los, his, copy=False), SortTileRecursive(),
+              data_ids=ids, capacity=capacity, store=store)
+    store.close()
+    return len(ids)
+
+
+def _digest(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def _coords(ndim):
+    """Coordinates on a coarse grid, so STR's sorts meet many ties."""
+    return st.lists(st.integers(0, 12).map(lambda v: v / 4.0),
+                    min_size=ndim, max_size=ndim)
+
+
+@st.composite
+def _merge_inputs(draw):
+    """A base (repeated ids allowed) and 1-3 sealed segments whose ops
+    upsert and delete base ids, new ids and absent ids."""
+    ndim = draw(st.integers(1, 3))
+    capacity = draw(st.integers(4, 12))
+    n = draw(st.integers(1, 300))
+    base_ids = draw(st.lists(st.integers(0, 2 * n), min_size=n,
+                             max_size=n))
+    base_los = np.array(draw(st.lists(_coords(ndim), min_size=n,
+                                      max_size=n)), dtype=np.float64)
+    extent = draw(st.sampled_from([0.0, 0.25]))
+    # A few ids, from the base or not, so ops often meet an id again:
+    # delete then reinsert, insert then delete, upsert twice.
+    pool = draw(st.lists(st.one_of(st.sampled_from(base_ids),
+                                   st.integers(0, 3 * n)),
+                         min_size=1, max_size=8))
+    op = st.tuples(st.sampled_from(["insert", "delete"]),
+                   st.sampled_from(pool), _coords(ndim))
+    segments = draw(st.lists(st.lists(op, min_size=1, max_size=10),
+                             min_size=1, max_size=3))
+    return (ndim, capacity, np.array(base_ids, dtype=np.int64),
+            RectArray(base_los, base_los + extent), segments)
+
+
+class TestSameBytesAsTheDictMerge:
+    """The array merge hands ``bulk_load`` exactly the id-ascending
+    input the dict merge built, so every generation file is
+    byte-identical to the one the dict merge wrote."""
+
+    @given(_merge_inputs())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_merge_writes_the_dict_merges_bytes(self, inputs):
+        ndim, capacity, base_ids, base_rects, segments = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            tree_path = os.path.join(tmp, "tree.rt")
+            page_size = required_page_size(capacity, ndim) + TRAILER_SIZE
+            store = FilePageStore(tree_path, page_size, checksums=True)
+            bulk_load(base_rects, SortTileRecursive(), data_ids=base_ids,
+                      capacity=capacity, store=store)
+            store.close()
+            with WriteAheadLog(ingest_dir(tree_path)) as wal:
+                for ops in segments:
+                    for kind, data_id, lo in ops:
+                        rect = Rect(tuple(lo), tuple(v + 0.5 for v in lo))
+                        wal.append(kind, data_id,
+                                   rect if kind == "insert" else None)
+                    wal.seal_active()
+            reference = os.path.join(tmp, "reference.rt")
+            size = _reference_merge(tree_path, reference)
+            if size == 0:
+                with pytest.raises(IngestError):
+                    merge_segments(tree_path)
+                return
+            report = merge_segments(tree_path)
+            assert report is not None and report.size == size
+            assert _digest(report.path) == _digest(reference)
+
+    def test_hundred_thousand_points_two_rounds(self, tmp_path):
+        """The default tree's scale: 10^5 points at capacity 100, two
+        merge rounds of 300 mixed ops each."""
+        rng = np.random.default_rng(2201)
+        tree_path = str(tmp_path / "tree.rt")
+        page_size = required_page_size(100, 2) + TRAILER_SIZE
+        store = FilePageStore(tree_path, page_size, checksums=True)
+        bulk_load(RectArray.from_points(rng.random((100_000, 2))),
+                  SortTileRecursive(), capacity=100, store=store)
+        store.close()
+        for round_ in range(2):
+            state, _ = IngestState.open(tree_path, ndim=2)
+            for k in range(300):
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    state.append("delete", int(rng.integers(100_000)))
+                    continue
+                data_id = (int(rng.integers(100_000)) if kind == 1
+                           else 200_000 + 1_000 * round_ + k)
+                point = tuple(rng.random(2))
+                state.append("insert", data_id, Rect(point, point))
+            state.wal.seal_active()
+            state.close()
+            reference = str(tmp_path / f"reference-{round_}.rt")
+            size = _reference_merge(tree_path, reference)
+            report = merge_segments(tree_path)
+            assert report is not None and report.size == size
+            assert _digest(report.path) == _digest(reference)

@@ -4,6 +4,8 @@ reload cutover that is never auto-retried, and response lines past the
 client's read bound."""
 
 import asyncio
+import gc
+import warnings
 
 import pytest
 
@@ -102,6 +104,37 @@ class TestReconnect:
                 await second.aclose()
 
         run(scenario())
+
+    def test_redial_closes_the_dead_writer(self, rng):
+        """The writer of the dropped connection is closed before the
+        redial replaces it, so collecting it warns of nothing."""
+        tree = _build(rng, n=300)
+        q = Rect((0.1, 0.1), (0.2, 0.2))
+
+        async def scenario():
+            first = QueryServer(tree, buffer_pages=32)
+            host, port = await first.start("127.0.0.1", 0)
+            client = await QueryClient.connect(
+                host, port, reconnect=_policy())
+            (await client.search(q)).raise_for_error()
+            await first.aclose()
+            second = QueryServer(tree, buffer_pages=32)
+            await second.start(host, port)
+            try:
+                (await client.search(q)).raise_for_error()
+                assert client.reconnects_total == 1
+            finally:
+                await client.aclose()
+                await second.aclose()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run(scenario())
+            gc.collect()
+        unclosed = [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and "StreamWriter" in str(w.message)]
+        assert unclosed == []
 
     def test_without_reconnect_a_dead_server_is_a_typed_error(self, rng):
         tree = _build(rng, n=300)

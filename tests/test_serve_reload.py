@@ -8,6 +8,7 @@ fail or silently mix generations.
 """
 
 import asyncio
+import struct
 
 import pytest
 
@@ -123,6 +124,37 @@ class TestReloadRejections:
                     health = await client.healthz()
                     assert health["generation"]["active"] == 1
                     assert health["generation"]["reloads"] == 0
+
+        run(scenario())
+
+
+    def test_structural_rejection_names_its_cause(self, tmp_path, rng):
+        """A file with no bad page but a broken invariant is refused
+        with the report's first message, not "0 bad page(s)"."""
+        _, tree, _ = _durable_tree(tmp_path, rng, "gen1.rt")
+        _, tree2, path2 = _durable_tree(tmp_path, rng, "b.rt")
+        tree2.store.close()
+        with FilePageStore.open_existing(path2) as store:
+            meta = store.tree_meta
+            root = bytearray(store.peek_page(meta["root_page"]))
+            # Nudge entry 0's low x (16-byte header, 8-byte pointer) so
+            # the parent entry no longer equals its child's MBR.
+            (x,) = struct.unpack_from("<d", root, 24)
+            struct.pack_into("<d", root, 24, x - 0.5)
+            store.write_page(meta["root_page"], bytes(root))
+            store.set_tree_meta(meta)
+
+        async def scenario():
+            async with QueryServer(tree, allow_reload=True) as server:
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as client:
+                    with pytest.raises(ReloadRejected,
+                                       match="parent entry") as caught:
+                        await client.reload(str(path2))
+                    assert "1 error(s)" in str(caught.value)
+                    assert "bad page" not in str(caught.value)
+                    assert (await client.healthz())["generation"][
+                        "active"] == 1
 
         run(scenario())
 
