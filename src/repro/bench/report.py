@@ -235,6 +235,8 @@ def _diff_bench(a: dict, b: dict) -> tuple[Table, list[str]]:
         ("latency p50 s", ("latency_s", "p50")),
         ("latency p99 s", ("latency_s", "p99")),
         ("pages_read", ("io", "pages_read")),
+        ("buffer_hits", ("io", "buffer_hits")),
+        ("buffer_misses", ("io", "buffer_misses")),
         ("decode self s", ("self_time_s", "decode")),
         ("walk self s", ("self_time_s", "walk")),
     )
@@ -284,14 +286,17 @@ def _diff_bench(a: dict, b: dict) -> tuple[Table, list[str]]:
                             f"{name}: p99 {vb:.6f}s above band "
                             f"{va:.6f}s x {ceil}"
                         )
-                elif path == ("io", "pages_read"):
-                    # |B - A| against tol * |A|, so a move off a zero
-                    # baseline crosses any band.
+                elif path[0] == "io":
+                    # Page reads and buffer hits/misses share the access
+                    # band: a walk that requests one page more crosses
+                    # it even when the page hits.  |B - A| against
+                    # tol * |A|, so a move off a zero baseline crosses
+                    # any band.
                     tol = bands.get("pages_read_rel")
                     if tol is not None and abs(vb - va) > tol * abs(va):
                         flag = "!"
                         crossings.append(
-                            f"{name}: pages_read moved {va} -> {vb} "
+                            f"{name}: {label} moved {va} -> {vb} "
                             f"(band ±{tol:.0%}) — access counts are "
                             "deterministic; this is a real change"
                         )

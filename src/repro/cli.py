@@ -441,15 +441,16 @@ def _run_fsck(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _open_tree(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Reattach the tree at ``args.target`` (durable or sidecar-described)."""
+    """Map the tree at ``args.target`` (durable or sidecar-described)
+    read-only for serving; a legacy journal is replayed first."""
     from .rtree.paged import PagedRTree
     from .storage.integrity import looks_like_superblock
-    from .storage.store import FilePageStore
+    from .storage.mmap_store import MmapPageStore
 
     with open(args.target, "rb") as f:
         durable = looks_like_superblock(f.read(4))
     if durable:
-        store = FilePageStore.open_existing(args.target)
+        store = MmapPageStore.open_existing(args.target)
         return PagedRTree.from_store(store)
     if args.meta is None:
         parser.error(f"{args.target} has no superblock — pass the tree "
@@ -459,7 +460,7 @@ def _open_tree(args: argparse.Namespace, parser: argparse.ArgumentParser):
         import json as _json
         with open(args.meta) as f:
             page_size = int(_json.load(f)["page_size"])
-    store = FilePageStore(args.target, page_size)
+    store = MmapPageStore(args.target, page_size)
     return PagedRTree.open(store, args.meta)
 
 

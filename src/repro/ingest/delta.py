@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.geometry import GeometryError, Rect
+from ..core.geometry import GeometryError, Rect, overlap_mask
 from ..obs import runtime as obs
 from ..rtree.knn import _min_dists
 from .wal import IngestError, WalOp
@@ -151,9 +151,7 @@ class DeltaTree:
             raise GeometryError(
                 f"query has {query.ndim} dims, delta has {self.ndim}")
         n = len(self._rows)
-        hit = np.logical_and(
-            (self._los[:n] <= np.asarray(query.hi)).all(axis=1),
-            (self._his[:n] >= np.asarray(query.lo)).all(axis=1))
+        hit = overlap_mask(self._los[:n], self._his[:n], query.lo, query.hi)
         return self._ids[:n][hit].tolist()
 
     def knn_candidates(self, point: Sequence[float],

@@ -49,6 +49,7 @@ from ..rtree.paged import PagedRTree
 from ..storage.faults import CrashPlan
 from ..storage.integrity import TRAILER_SIZE, format_tag, readable_tags
 from ..storage.journal import journal_path
+from ..storage.mmap_store import MmapPageStore
 from ..storage.page import required_page_size
 from ..storage.store import FilePageStore, SimulatedCrash
 from .wal import IngestError, WalSegment, ingest_dir, segment_seq
@@ -205,8 +206,9 @@ def _read_base(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                    int, int]:
     """The base generation's leaf records as ``(ids, los, his)`` arrays,
     concatenated in ``iter_level(0)`` order, plus its
-    ``(ndim, capacity)``."""
-    store = FilePageStore.open_existing(path)
+    ``(ndim, capacity)``.  The base is being served: it is mapped
+    read-only, so reading it never writes a byte of it."""
+    store = MmapPageStore.open_existing(path)
     try:
         tree = PagedRTree.from_store(store)
         ids = [np.empty(0, dtype=np.int64)]

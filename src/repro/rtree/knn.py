@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.geometry import GeometryError
 from ..obs import runtime as obs
-from .paged import PagedSearcher
+from .paged import PagedSearcher, _check_node
 
 __all__ = ["knn", "knn_detailed", "KnnResult"]
 
@@ -99,18 +99,20 @@ def knn_detailed(
     results: list[tuple[int, float]] = []
     skipped = 0
     pushes = itertools.count()
-    # Heap entries: (distance, kind, tie, payload); kind 0 = node, 1 =
-    # object.  At equal distance nodes pop first, so when an object pops
-    # every object as near is already queued; objects then tie on their
-    # data id (tie == payload), nodes on push order.
-    heap: list[tuple[float, int, int, int]] = [
-        (0.0, 0, next(pushes), tree.root_page)
+    # Heap entries: (distance, kind, tie, payload, level); kind 0 = node,
+    # 1 = object.  At equal distance nodes pop first, so when an object
+    # pops every object as near is already queued; objects then tie on
+    # their data id (tie == payload), nodes on push order.  ``level`` is
+    # the level a node must sit at: one below its parent (None for the
+    # root; unused for objects).
+    heap: list[tuple[float, int, int, int, int | None]] = [
+        (0.0, 0, next(pushes), tree.root_page, None)
     ]
     # The walk span nests the buffer's read/decode spans, so kNN reports
     # the same decode-vs-walk self-time split as region queries.
     with obs.span("query.knn"), obs.span("query.node_walk"):
         while heap and len(results) < k:
-            dist, kind, _, payload = heapq.heappop(heap)
+            dist, kind, _, payload, level = heapq.heappop(heap)
             if kind == 1:
                 results.append((payload, dist))
                 continue
@@ -121,6 +123,7 @@ def knn_detailed(
                 continue
             try:
                 node = searcher.buffer.get(payload)
+                _check_node(payload, node, level, tree.ndim)
             except searcher.DEGRADED_ERRORS as exc:
                 if not degraded:
                     raise
@@ -130,7 +133,8 @@ def knn_detailed(
                 continue
             dists = _min_dists(node.rects.los, node.rects.his, q)
             child_kind = 1 if node.is_leaf else 0
+            child_level = node.level - 1
             for d, child in zip(dists.tolist(), node.children.tolist()):
                 tie = child if child_kind else next(pushes)
-                heapq.heappush(heap, (d, child_kind, tie, child))
+                heapq.heappush(heap, (d, child_kind, tie, child, child_level))
     return KnnResult(results, skipped > 0, skipped)

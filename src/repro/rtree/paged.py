@@ -10,10 +10,16 @@ the paper's primary metric — falls straight out of the shared
 Design notes
 ------------
 * Node visits are vectorized: the buffer caches decoded
-  :class:`~repro.storage.page.NodePage` values and each visit does a single
-  numpy overlap test over the node's entries.  The *unit of caching and
-  accounting is still a page*, so the access counts are identical to a
-  byte-level buffer.
+  :class:`~repro.storage.page.NodePage` values, each internal node gets one
+  numpy overlap test over its entries, and the matched leaves under a
+  node one level above them are fetched in the order the depth-first
+  stack would pop them, then tested in a single pass over all their
+  entries.  The *unit of caching and accounting is still a page*, and the
+  sequence of page requests is exactly that of a node-at-a-time walk, so
+  the access counts are identical to a byte-level buffer.
+* Every walk requires a child to sit one level below its parent, so a
+  corrupt pointer that loops back up the tree is a
+  :class:`~repro.storage.page.PageFormatError`, never an endless walk.
 * The root page is read on every query like any other page (the paper uses
   plain LRU for all levels; pinning is available for the ablation).
 """
@@ -22,12 +28,13 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Container, Iterator, Sequence
 
 import numpy as np
 
-from ..core.geometry import GeometryError, Rect
+from ..core.geometry import GeometryError, Rect, overlap_mask
 from ..obs import runtime as obs
 from ..storage.buffer import BufferPool, ReplacementPolicy
 from ..storage.counters import IOStats
@@ -202,14 +209,20 @@ class PagedRTree:
         return self.read_node(self.root_page)
 
     def iter_nodes(self) -> Iterator[tuple[int, NodePage]]:
-        """Breadth-first ``(page_id, node)`` walk, uncounted."""
-        queue = [self.root_page]
+        """Breadth-first ``(page_id, node)`` walk, uncounted.
+
+        Raises :class:`~repro.storage.page.PageFormatError` at a child
+        that is not one level below its parent (see :func:`_check_node`).
+        """
+        queue: deque[tuple[int, int | None]] = deque([(self.root_page, None)])
         while queue:
-            page_id = queue.pop(0)
+            page_id, level = queue.popleft()
             node = self.read_node(page_id)
+            _check_node(page_id, node, level, self.ndim)
             yield page_id, node
             if not node.is_leaf:
-                queue.extend(int(c) for c in node.children)
+                queue.extend((c, node.level - 1)
+                             for c in node.children.tolist())
 
     def iter_level(self, level: int) -> Iterator[tuple[int, NodePage]]:
         """All nodes at a leaf-anchored level (0 = leaves), uncounted."""
@@ -266,19 +279,17 @@ class PagedSearcher:
                  policy: str | ReplacementPolicy = "lru",
                  stats: IOStats | None = None):
         self.tree = tree
-        self.stats = stats if stats is not None else IOStats()
+        self.stats = stats = stats if stats is not None else IOStats()
 
         def fetch(page_id: int) -> NodePage:
             # Reads triggered by this searcher are charged to its own stats,
             # keeping per-experiment accounting separate from build I/O.
-            # The read/decode spans keep raw page I/O and page-to-node
-            # decoding in distinct phase_of buckets (read/decode), so
-            # their self time is separable from the node walk above.
-            with obs.span("query.page_read"):
-                data = tree.store.read_page(page_id, self.stats)
-            with obs.span("query.page_decode"):
-                return decode_node(data, page_id=page_id,
-                                   source=getattr(tree.store, "path", None))
+            # The store opens the read/decode spans, so their self time is
+            # separable from the node walk above.  The closure holds no
+            # reference to the searcher: a searcher dropped by a reload
+            # frees its buffered nodes (views of a mapped generation) at
+            # once, so closing that generation unmaps it.
+            return tree.store.read_node(page_id, stats)
 
         self.buffer: BufferPool[int, NodePage] = BufferPool(
             buffer_pages, fetch, stats=self.stats, policy=policy
@@ -327,6 +338,33 @@ class PagedSearcher:
         """
         if query.ndim != self.tree.ndim:
             raise GeometryError("query dimensionality mismatch")
+        ndim = self.tree.ndim
+        qlo, qhi = query.lo, query.hi
+        hits: list[np.ndarray] = []
+        skipped = 0
+        visited = 0
+
+        def visit(page_id: int, level: int | None) -> NodePage | None:
+            """One page request: the node, or ``None`` when skipped."""
+            nonlocal skipped, visited
+            if check is not None:
+                check()
+            if quarantined is not None and page_id in quarantined:
+                skipped += 1
+                return None
+            try:
+                node = self.buffer.get(page_id)
+                _check_node(page_id, node, level, ndim)
+            except self.DEGRADED_ERRORS as exc:
+                if not degraded:
+                    raise
+                skipped += 1
+                if on_page_error is not None:
+                    on_page_error(page_id, exc)
+                return None
+            visited += 1
+            return node
+
         # The spans only *time* the walk; all counting stays in the
         # buffer/store IOStats, so telemetry cannot shift access counts.
         # ``query.node_walk`` covers the whole loop while page fetches
@@ -334,35 +372,31 @@ class PagedSearcher:
         # pure in-memory tree work — the decode-vs-walk split the
         # ROADMAP's raw-speed item asks for.
         with obs.span("query.search"), obs.span("query.node_walk"):
-            hits: list[np.ndarray] = []
-            skipped = 0
-            visited = 0
-            stack = [self.tree.root_page]
+            # (page, the level it must sit at; None for the root)
+            stack: list[tuple[int, int | None]] = [(self.tree.root_page,
+                                                     None)]
             while stack:
-                page_id = stack.pop()
-                if check is not None:
-                    check()
-                if quarantined is not None and page_id in quarantined:
-                    skipped += 1
+                node = visit(*stack.pop())
+                if node is None:
                     continue
-                try:
-                    node = self.buffer.get(page_id)
-                except self.DEGRADED_ERRORS as exc:
-                    if not degraded:
-                        raise
-                    skipped += 1
-                    if on_page_error is not None:
-                        on_page_error(page_id, exc)
-                    continue
-                visited += 1
-                mask = node.rects.intersects_rect(query)
+                mask = overlap_mask(node.rects.los, node.rects.his, qlo, qhi)
                 if not mask.any():
                     continue
-                matched = node.children[mask]
-                if node.is_leaf:
-                    hits.append(matched)
+                if node.level == 0:  # a leaf root
+                    hits.append(node.children[mask])
+                    continue
+                matched = node.children[mask].tolist()
+                if node.level > 1:
+                    stack.extend((c, node.level - 1) for c in matched)
                 else:
-                    stack.extend(int(c) for c in matched)
+                    # The leaves would be pushed here and popped next,
+                    # last first: request them in that order, then test
+                    # all their entries at once.
+                    leaves = [leaf for leaf in (visit(c, 0)
+                                                for c in reversed(matched))
+                              if leaf is not None]
+                    if leaves:
+                        hits.append(_leaf_hits(leaves, qlo, qhi))
             ids = (np.concatenate(hits) if hits
                    else np.empty(0, dtype=np.int64))
             return SearchResult(ids=ids, partial=skipped > 0,
@@ -398,3 +432,32 @@ class PagedSearcher:
     def disk_accesses(self) -> int:
         """Total page fetches so far (the paper's metric, before averaging)."""
         return self.stats.disk_reads
+
+
+def _leaf_hits(leaves: list[NodePage], qlo: Sequence[float],
+               qhi: Sequence[float]) -> np.ndarray:
+    """Data ids of the entries of ``leaves`` overlapping ``[qlo, qhi]``,
+    leaf by leaf in list order, in one vectorized pass."""
+    ids = np.concatenate([leaf.children for leaf in leaves])
+    los = np.concatenate([leaf.rects.los for leaf in leaves])
+    his = np.concatenate([leaf.rects.his for leaf in leaves])
+    return ids[overlap_mask(los, his, qlo, qhi)]
+
+
+def _check_node(page_id: int, node: NodePage, level: int | None,
+                ndim: int) -> None:
+    """Raise :class:`~repro.storage.page.PageFormatError` unless ``node``
+    sits at ``level`` (one below its parent; ``None`` for the root) and
+    holds ``ndim``-dimensional entries.
+
+    Both are corrupt pointers or pages that still decode: a child
+    pointer that loops back up the tree would make a walk endless, and
+    entries of another dimensionality would be tested on the wrong axes.
+    """
+    if level is not None and node.level != level:
+        raise PageFormatError(
+            f"page {page_id} at level {node.level} where its parent needs "
+            f"level {level}")
+    if node.ndim != ndim:
+        raise PageFormatError(
+            f"page {page_id} holds {node.ndim}-d entries in a {ndim}-d tree")

@@ -185,6 +185,11 @@ class QueryServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple | None = None
+        #: Accepted connections' writers and handler tasks (aclose ends
+        #: them all); once closing, a handler that starts late returns.
+        self._clients: dict[asyncio.StreamWriter,
+                            asyncio.Task[object] | None] = {}
+        self._closing = False
 
         # Streaming ingest (enabled with ingest=IngestState; see
         # repro.ingest).  Writes are serialized single-flight: one
@@ -542,7 +547,7 @@ class QueryServer:
         :class:`ReloadRejected` with the old generation untouched.
         """
         from ..fsck import fsck as run_fsck
-        from ..storage.store import FilePageStore
+        from ..storage.mmap_store import MmapPageStore
 
         try:
             with open(path, "rb") as f:
@@ -571,7 +576,7 @@ class QueryServer:
                 f"first: {first}; refusing to cut over")
         store = None
         try:
-            store = FilePageStore.open_existing(path)
+            store = MmapPageStore.open_existing(path)
             tree = PagedRTree.from_store(store)
             searcher = tree.searcher(self.buffer_pages)
         except Exception as exc:
@@ -698,7 +703,11 @@ class QueryServer:
 
     async def _serve_client(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
+        if self._closing:  # accepted just before aclose took the clients
+            writer.transport.abort()
+            return
         self.session_count += 1
+        self._clients[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -712,8 +721,8 @@ class QueryServer:
                            "bytes; closing the connection")))
                     await writer.drain()
                     break
-                if not line:
-                    break
+                if not line or self._closing:
+                    break  # EOF, or aclose dropped a line already read
                 if not line.strip():
                     continue
                 try:
@@ -729,6 +738,7 @@ class QueryServer:
             pass
         finally:
             self.session_count -= 1
+            self._clients.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -737,16 +747,33 @@ class QueryServer:
                 pass
 
     async def aclose(self) -> None:
-        """Stop accepting clients and release the search pools.
+        """Stop accepting clients, close every accepted connection and
+        release the search pools.
+
+        Each connection is aborted, so its unsent bytes are dropped and
+        its handler ends even when the client has stopped reading; the
+        handlers are awaited (a request already in flight finishes, its
+        answer dropped) before the executor shuts down, so no request is
+        dispatched to a closed executor.
 
         Swap-then-close: each reference is detached *before* the first
         await, so a concurrent (or re-entrant) aclose never
         double-closes a pool the first call is still awaiting on —
         the check-then-act shape RL009 flags.
         """
+        self._closing = True
         server, self._server = self._server, None
+        clients, self._clients = self._clients, {}
         if server is not None:
             server.close()
+        for writer in clients:
+            # Not close(): that waits for the send buffer to drain, and
+            # a client that stopped reading would keep it full.
+            writer.transport.abort()
+        await asyncio.gather(*(task for task in clients.values()
+                               if task is not None),
+                             return_exceptions=True)
+        if server is not None:
             await server.wait_closed()
         pool, self.pool = self.pool, None
         if pool is not None:

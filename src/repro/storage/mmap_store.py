@@ -22,6 +22,13 @@ buffer pool's ``read`` calls.
   bytes cannot have changed).  A flipped at-rest bit is therefore still
   a loud :class:`~repro.storage.integrity.ChecksumError`, but steady-
   state serving pays zero checksum arithmetic.
+* **Decoded once** — :meth:`read_node` decodes a page on its first
+  touch into node arrays that *view* the read-only mapping (no private
+  copy of the page) and keeps the node until :meth:`close` — every node
+  touched, not bounded by the buffer (about 1 KB each, see
+  ``docs/serving.md``).  A later buffer miss on the same page is still a
+  counted read — range check, breaker, ``disk_reads`` — that returns the
+  kept node, so the paper's access counts are those of any other store.
 * **Byte-identical reads** — :meth:`read_page` returns exactly what a
   :class:`~repro.storage.store.FilePageStore` would return for the same
   page (checksummed pages come back payload-first with the trailer
@@ -31,7 +38,8 @@ buffer pool's ``read`` calls.
 A file whose superblock carries the legacy journal flag and whose
 sidecar still holds unreplayed records is refused: replay is a *write*,
 which only :meth:`~repro.storage.store.FilePageStore.open_existing` may
-perform (see :mod:`repro.storage.journal`).
+perform (see :mod:`repro.storage.journal`).  :meth:`open_existing`
+hands such a file to it first, then maps the recovered file.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import mmap
 import os
 from typing import TYPE_CHECKING
 
+from ..obs import runtime as obs
 from .counters import IOStats
 from .integrity import (
     FLAG_CHECKSUMS,
@@ -51,7 +60,8 @@ from .integrity import (
     verify_trailer,
 )
 from .journal import journal_has_records, journal_path
-from .store import PageStore, StoreError, _find_superblock
+from .page import NodePage, decode_node
+from .store import FilePageStore, PageStore, StoreError, _find_superblock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (see store.py)
     from .breaker import CircuitBreaker
@@ -127,7 +137,12 @@ class MmapPageStore(PageStore):
         self._verify = verify and self.checksums
         #: Page ids whose trailer has been verified (first-touch cache).
         self._verified: set[int] = set()
+        #: Decoded nodes by page id, viewing the mapping (see read_node).
+        self._nodes: dict[int, NodePage] = {}
         self.checksum_failures = 0
+        #: Legacy journal replays done for this file by open_existing.
+        self.recoveries = 0
+        self.recovered_pages = 0
         self._closed = False
         self._file = open(self._path, "rb")
         try:
@@ -138,6 +153,34 @@ class MmapPageStore(PageStore):
         except BaseException:
             self._file.close()
             raise
+
+    @classmethod
+    def open_existing(cls, path: str | os.PathLike[str],
+                      stats: IOStats | None = None, *,
+                      retry: "RetryPolicy | None" = None,
+                      breaker: "CircuitBreaker | None" = None
+                      ) -> "MmapPageStore":
+        """Map a durable file read-only, replaying a legacy journal first.
+
+        A file whose journal sidecar still holds records is opened once
+        by :meth:`FilePageStore.open_existing`, whose replay (and the
+        superblock commit on its close) is the one write a reader may
+        cause; the replay counts carry over to the mapped store, so
+        health reports still show the recovery.  Any other file is
+        mapped without a single write.
+        """
+        path = os.fspath(path)
+        recoveries = recovered_pages = 0
+        if _find_superblock(path).flags & FLAG_JOURNAL and \
+                journal_has_records(journal_path(path)):
+            replayed = FilePageStore.open_existing(path)
+            replayed.close()
+            recoveries = replayed.recoveries
+            recovered_pages = replayed.recovered_pages
+        store = cls(path, stats=stats, retry=retry, breaker=breaker)
+        store.recoveries = recoveries
+        store.recovered_pages = recovered_pages
+        return store
 
     # -- properties -----------------------------------------------------------
 
@@ -215,6 +258,44 @@ class MmapPageStore(PageStore):
     def _write(self, page_id: int, data: bytes) -> None:
         raise StoreError(f"{self._path}: MmapPageStore is read-only")
 
+    def read_node(self, page_id: int, stats: IOStats | None = None
+                  ) -> NodePage:
+        """Counted node fetch that decodes each page once.
+
+        The first touch reads (and CRC-verifies) the page through
+        :meth:`read_page`, then decodes a view of the mapped payload and
+        keeps it; a page that fails is not kept, so its next touch fails
+        again.  Later calls count exactly as :meth:`read_page` does and
+        return the kept node: the file is immutable, so its bytes cannot
+        have changed.  Both phases keep their spans, the decode one empty
+        on a kept node.
+        """
+        node = self._nodes.get(page_id)
+        if node is None:
+            with obs.span("query.page_read"):
+                data = self.read_page(page_id, stats)
+            with obs.span("query.page_decode"):
+                view = self._payload_view(page_id)
+                node = decode_node(data if view is None else view,
+                                   page_id=page_id, source=self._path)
+            self._nodes[page_id] = node
+            return node
+        with obs.span("query.page_read"):
+            self._count_read(page_id, stats)
+            if self.breaker is not None:  # a lookup cannot fail
+                self.breaker.record_success()
+        with obs.span("query.page_decode"):
+            return node
+
+    def _payload_view(self, page_id: int) -> memoryview | None:
+        """The page's payload as a view of the mapping, or ``None`` when
+        the mapping ends before it (a page past EOF reads as zeros)."""
+        offset = self._data_offset(page_id)
+        end = offset + self.payload_size
+        if self._map is None or end > len(self._map):
+            return None
+        return memoryview(self._map)[offset:end]
+
     def raw_read(self, page_id: int) -> bytes:
         self._check_id(page_id)
         return self._image(page_id)
@@ -222,11 +303,22 @@ class MmapPageStore(PageStore):
     # -- teardown -------------------------------------------------------------
 
     def close(self) -> None:
+        """Release the mapping; later reads raise :class:`StoreError`.
+
+        Nodes handed out earlier may still view the mapping (a searcher's
+        buffer holds them): then the mapping is unmapped when the last of
+        them is collected, not here, and closing does not fail.
+        """
         if self._closed:
             return
         self._closed = True
+        self._nodes.clear()
         if self._map is not None:
-            self._map.close()
+            try:
+                self._map.close()
+            except BufferError:
+                pass  # views outlive us; the last one unmaps it
+            self._map = None
         self._file.close()
 
     def _ensure_open(self) -> None:

@@ -18,6 +18,12 @@ Layout (little-endian)::
 Pages are fixed-size; the tail beyond the last entry is zero padding.  The
 codec round-trips through real bytes so the :class:`~repro.storage.store.FilePageStore`
 path exercises genuine serialisation, not pickled Python objects.
+
+Decoding copies nothing: the entries are one ``(count, 1 + 2k)`` float64
+block over the page buffer, and a node's ``children``, ``rects.los`` and
+``rects.his`` are column views of it.  A node therefore keeps its page
+buffer alive — a ``bytes`` copy, or a read-only mapping of the file
+(:class:`~repro.storage.mmap_store.MmapPageStore`).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import struct
 
 import numpy as np
 
-from ..core.geometry import RectArray
+from ..core.geometry import GeometryError, RectArray
 
 __all__ = [
     "PageFormatError",
@@ -130,9 +136,14 @@ def encode_node(node: NodePage, page_size: int) -> bytes:
     return body + b"\x00" * (page_size - len(body))
 
 
-def decode_node(data: bytes, *, page_id: int | None = None,
+def decode_node(data: bytes | memoryview, *, page_id: int | None = None,
                 source: str | None = None) -> NodePage:
     """Inverse of :func:`encode_node` (padding is ignored).
+
+    The node's arrays are read-only views over ``data`` (see the module
+    notes).  A page whose coordinates are non-finite or inverted
+    (``lo > hi``) is as corrupt as one with a bad header: both raise
+    :class:`PageFormatError`.
 
     ``page_id`` and ``source`` (the store path) are threaded into any
     :class:`PageFormatError` so a corrupt page can be located on disk; the
@@ -164,14 +175,13 @@ def decode_node(data: bytes, *, page_id: int | None = None,
         raise PageFormatError(
             f"{where}: holds {len(data)} bytes, header promises {need}"
         )
-    raw = np.frombuffer(data, dtype=np.uint64, count=count * stride,
-                        offset=_HEADER.size)
-    raw_f = raw.view(np.float64)
-    children = raw[0::stride].view(np.int64).copy()
-    los = np.empty((count, ndim), dtype=np.float64)
-    his = np.empty((count, ndim), dtype=np.float64)
-    for d in range(ndim):
-        los[:, d] = raw_f[1 + d::stride]
-        his[:, d] = raw_f[1 + ndim + d::stride]
-    return NodePage(level=level, children=children,
-                    rects=RectArray(los, his, copy=False))
+    block = np.frombuffer(data, dtype=np.float64, count=count * stride,
+                          offset=_HEADER.size).reshape(count, stride)
+    block.setflags(write=False)  # a writable buffer must not leak in
+    try:
+        rects = RectArray(block[:, 1:1 + ndim], block[:, 1 + ndim:],
+                          copy=False)
+    except GeometryError as exc:  # non-finite or inverted entries
+        raise PageFormatError(f"{where}: {exc}") from None
+    return NodePage(level=level, children=block[:, 0].view(np.int64),
+                    rects=rects)

@@ -57,6 +57,7 @@ from .integrity import (
     verify_trailer,
 )
 from .journal import WriteJournal, journal_path
+from .page import NodePage, decode_node
 
 if TYPE_CHECKING:  # retry/crash plans live in faults, which imports us
     from .breaker import CircuitBreaker
@@ -162,15 +163,38 @@ class PageStore(abc.ABC):
         query executors pass their own so per-experiment accounting stays
         separate from build-time I/O.
         """
-        self._check_id(page_id)
-        self._check_breaker(page_id, "read")
-        (stats if stats is not None else self.stats).disk_reads += 1
+        self._count_read(page_id, stats)
         return self._attempt(
             lambda: self._read(page_id)
             if self.retry is None
             else self.retry.run(lambda: self._read(page_id),
                                 on_retry=self._note_retry)
         )
+
+    def read_node(self, page_id: int, stats: IOStats | None = None
+                  ) -> NodePage:
+        """Fetch one page and decode its node, counting exactly as
+        :meth:`read_page` does (the searchers' fetch).
+
+        The read and decode phases run under the ``query.page_read`` and
+        ``query.page_decode`` spans, so a traced query separates raw page
+        I/O from page-to-node decoding.  A store whose pages cannot
+        change may keep decoded nodes, as the read-only mmap store does,
+        provided every call still counts.
+        """
+        with obs.span("query.page_read"):
+            data = self.read_page(page_id, stats)
+        with obs.span("query.page_decode"):
+            return decode_node(data, page_id=page_id,
+                               source=getattr(self, "path", None))
+
+    def _count_read(self, page_id: int, stats: IOStats | None) -> None:
+        """What makes a read a counted disk access, before any byte
+        moves: the range check, the breaker's consent and ``disk_reads``.
+        Every counted read goes through here, kept nodes included."""
+        self._check_id(page_id)
+        self._check_breaker(page_id, "read")
+        (stats if stats is not None else self.stats).disk_reads += 1
 
     def peek_page(self, page_id: int) -> bytes:
         """Fetch one page *without* counting (validation, stats, plots)."""

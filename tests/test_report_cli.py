@@ -173,6 +173,23 @@ class TestDiff:
         assert crossed in capsys.readouterr().err
         assert main(["report", "--diff", a, a]) == 0
 
+    @pytest.mark.parametrize("counter", ["buffer_hits", "buffer_misses"])
+    def test_default_band_pins_buffer_counts_exactly(self, tmp_path, capsys,
+                                                     counter):
+        # An extra page request that hits the buffer leaves pages_read
+        # alone but still moves the buffer counts: that crosses too.
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        band = dict(DEFAULT_TOLERANCE)
+        write_bench(_bench_doc(tolerance=band), a)
+        moved = _bench_doc(tolerance=band)
+        before = moved["scenarios"]["window_1pct"]["io"][counter]
+        moved["scenarios"]["window_1pct"]["io"][counter] = before + 1
+        write_bench(moved, b)
+        assert main(["report", "--diff", a, b]) == 1
+        crossed = (f"CROSSED: window_1pct: {counter} moved {before} -> "
+                   f"{before + 1}")
+        assert crossed in capsys.readouterr().err
+
     def test_generous_wallclock_band_tolerates_slow_hosts(self, tmp_path,
                                                           capsys):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

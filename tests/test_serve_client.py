@@ -5,6 +5,7 @@ client's read bound."""
 
 import asyncio
 import gc
+import logging
 import warnings
 
 import pytest
@@ -203,6 +204,92 @@ class TestReconnect:
                                       (0.2, 0.2)))).raise_for_error()
             await client.aclose()
             await server.aclose()
+
+        run(scenario())
+
+
+class TestShutdown:
+    def test_aclose_closes_accepted_connections(self, rng, caplog):
+        """A connection still open at aclose is closed by it: the client
+        sees EOF, and no request reaches the shut-down executor."""
+        tree = _build(rng, n=300)
+        q = Rect((0.1, 0.1), (0.2, 0.2))
+
+        async def scenario():
+            server = QueryServer(tree, buffer_pages=32)
+            host, port = await server.start("127.0.0.1", 0)
+            client = await QueryClient.connect(host, port)
+            (await client.search(q)).raise_for_error()
+            await server.aclose()
+            assert server.session_count == 0
+            with pytest.raises(ServeError, match="closed the connection"):
+                await client.search(q)
+            await client.aclose()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            run(scenario())
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
+
+    def test_aclose_does_not_wait_for_a_client_that_stopped_reading(
+            self, rng):
+        """A client that pipelines whole-square searches and never reads
+        leaves its handler blocked on a full send buffer; aclose still
+        returns promptly and the client reads EOF."""
+        tree = _build(rng, n=20_000)  # about 110 KB per answer
+        line = b'{"op": "search", "id": 1, "rect": [[0, 0], [1, 1]]}\n'
+
+        async def scenario():
+            server = QueryServer(tree, buffer_pages=64)
+            host, port = await server.start("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(line * 200)
+            await writer.drain()
+            loop = asyncio.get_running_loop()
+            until = loop.time() + 30.0
+            while not any(w.transport.get_write_buffer_size()
+                          for w in server._clients):
+                assert loop.time() < until, "send buffer never filled"
+                await asyncio.sleep(0.01)
+            stuck = list(server._clients)
+            closing = asyncio.ensure_future(server.aclose())
+            done, _ = await asyncio.wait({closing}, timeout=5.0)
+            if not done:  # unblock it, so this fails instead of hanging
+                for w in stuck:
+                    w.transport.abort()
+                await closing
+                pytest.fail("aclose waited on a client that stopped reading")
+            assert server.session_count == 0
+            await asyncio.wait_for(reader.read(), timeout=5.0)  # EOF
+            writer.close()
+
+        run(scenario())
+
+    def test_a_connection_handled_after_aclose_is_dropped(self, rng):
+        """A connection accepted just before aclose, whose handler only
+        starts afterwards, is closed at once and never registered."""
+        import socket
+
+        tree = _build(rng, n=300)
+
+        async def scenario():
+            server = QueryServer(tree, buffer_pages=32)
+            await server.start("127.0.0.1", 0)
+            await server.aclose()
+            ours, theirs = socket.socketpair()
+            reader, writer = await asyncio.open_connection(sock=ours)
+            peer_reader, peer_writer = await asyncio.open_connection(
+                sock=theirs)
+            handler = asyncio.ensure_future(
+                server._serve_client(reader, writer))
+            done, _ = await asyncio.wait({handler}, timeout=5.0)
+            if not done:  # it waits for a request: end it and fail
+                peer_writer.close()
+                await handler
+                pytest.fail("a handler started after aclose served")
+            assert server._clients == {} and server.session_count == 0
+            assert await asyncio.wait_for(peer_reader.read(), 5.0) == b""
+            peer_writer.close()
 
         run(scenario())
 

@@ -6,6 +6,7 @@ then resumed with zero lost acked writes."""
 
 import asyncio
 import errno
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.ingest import (
 )
 from repro.rtree.paged import PagedRTree
 from repro.serve import QueryClient, QueryServer, ReloadRejected, Request
-from repro.storage import FilePageStore
+from repro.storage import FilePageStore, MmapPageStore
 from repro.storage.faults import CrashPlan
 from repro.storage.integrity import TRAILER_SIZE
 from repro.storage.page import required_page_size
@@ -55,12 +56,17 @@ def _build_base(tree_path, n=N_BASE, seed=7):
 
 
 def _open_serving(tree_path, **kwargs):
-    """Recover ingest state and open the current generation, exactly
-    as ``repro serve --ingest`` does."""
+    """Recover ingest state and map the current generation read-only,
+    exactly as ``repro serve --ingest`` does."""
     state, base_path = IngestState.open(tree_path, ndim=NDIM, **kwargs)
-    store = FilePageStore.open_existing(base_path)
+    store = MmapPageStore.open_existing(base_path)
     tree = PagedRTree.from_store(store)
     return tree, state
+
+
+def _sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _brute_search(oracle, rect: Rect):
@@ -254,6 +260,33 @@ class TestMergeCutover:
                     assert data["merged"] is True
                     assert data["generation"] == 3
                     await _assert_oracle_exact(c, oracle)
+
+        run(scenario())
+
+    def test_served_generations_are_never_written(self, tmp_path):
+        """The merge maps its base read-only, and neither its cutover
+        nor a reload writes the generation it retires."""
+        tree_path = str(tmp_path / "tree.rt")
+        _build_base(tree_path)
+        base_sha = _sha256(tree_path)
+        tree, state = _open_serving(tree_path)
+
+        async def scenario():
+            async with QueryServer(tree, ingest=state,
+                                   allow_reload=True) as server:
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as c:
+                    for i in range(10):
+                        (await c.insert(8000 + i, _rect(8000 + i))
+                         ).raise_for_error()
+                    assert (await c.merge())["generation"] == 2
+                    assert _sha256(tree_path) == base_sha
+                    merged = server.generation_path
+                    merged_sha = _sha256(merged)
+                    data = await c.reload(merged)
+                    assert data["generation"] == 3
+                    assert _sha256(merged) == merged_sha
+                    assert _sha256(tree_path) == base_sha
 
         run(scenario())
 

@@ -4,6 +4,7 @@ the health endpoints."""
 
 import asyncio
 import json
+import struct
 
 import pytest
 
@@ -184,6 +185,37 @@ class TestDegradedReadsOverCorruptFile:
                     narrow = (await client.search(
                         [[0.9, 0.9], [0.91, 0.91]])).raise_for_error()
                     assert isinstance(narrow.partial, bool)
+
+        run(scenario())
+        store.close()
+
+    def test_corrupt_coordinate_is_a_page_fault(self, tmp_path, rng):
+        """A NaN behind a valid CRC is the page's fault, not the
+        client's: degraded reads absorb and quarantine the page, strict
+        ones answer StoreUnavailable naming it."""
+        store = _durable_store(tmp_path, capacity=50)
+        _, tree = _build(rng, store=store, capacity=50)
+        leaf = tree.level_pages(0)[0]
+        data = bytearray(store.read_page(leaf))
+        struct.pack_into("<d", data, 16 + 8, float("nan"))  # entry 0, lo[0]
+        store.write_page(leaf, bytes(data))  # stamps a fresh trailer
+        wide = [[0.0, 0.0], [1.0, 1.0]]
+
+        async def scenario():
+            async with QueryServer(tree, buffer_pages=64) as server:
+                resp = await server.handle_request(Request(
+                    op="search", id=1, rect=wide))
+                assert resp.ok and resp.partial
+                assert resp.unreachable_subtrees == 1
+                assert server.quarantine == {leaf}
+            async with QueryServer(tree, buffer_pages=64,
+                                   degraded=False) as strict:
+                resp = await strict.handle_request(Request(
+                    op="search", id=2, rect=wide))
+                assert resp.ok is False
+                assert resp.error == "StoreUnavailable"
+                assert f"page {leaf} of {store.path}" in resp.message
+                assert "non-finite coordinates" in resp.message
 
         run(scenario())
         store.close()
