@@ -42,6 +42,18 @@ pooled answer is byte-for-byte the in-process one.  Everything a child
 process touches lives at module top level (:func:`worker_main`,
 :class:`TreeSpec`) and is picklable, so the pool works identically
 under ``fork`` and ``spawn`` start methods.
+
+The transport is two one-way pipes per worker and starts no threads.
+Requests go down one with a blocking ``Connection.send``.  Answers come
+back on the other as length-prefixed pickle frames (:func:`_send`,
+:class:`_FrameReader`), ids already JSON-encoded
+(:class:`~repro.serve.protocol.EncodedIds`).  The frontend's end of
+that pipe is non-blocking and read by the event loop itself
+(``loop.add_reader``), so an answer resolves its request's future in
+the callback that reads it, and a worker stopped mid-frame cannot
+block the loop.  EOF on the pipe is the crash signal; the loop then
+watches the process sentinel and handles the exit once it fires.  Each
+request awaits its own future under one timer at deadline plus grace.
 """
 
 from __future__ import annotations
@@ -50,7 +62,8 @@ import asyncio
 import itertools
 import multiprocessing
 import os
-import threading
+import pickle
+import struct
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -66,6 +79,7 @@ from .protocol import (
     DeadlineExceeded,
     ServeError,
     WorkerLost,
+    encode_ids,
 )
 from . import query
 from .supervisor import FlapDetector, RestartBackoff, WorkerState
@@ -82,6 +96,56 @@ class PoolUnavailable(Exception):
     request in-process instead — pool unavailability degrades latency,
     not correctness or availability.
     """
+
+
+# -- result frames --------------------------------------------------------
+
+#: A result-pipe frame: the pickled message's length, then the pickle.
+_FRAME = struct.Struct("!Q")
+#: Most bytes the frontend takes off a result pipe per read: a pipe's
+#: default buffer.
+_READ_SIZE = 1 << 16
+
+
+def _frame(msg: tuple) -> bytes:
+    """``msg`` as one frame of a result pipe."""
+    data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+    return _FRAME.pack(len(data)) + data
+
+
+def _send(fd: int, msg: tuple) -> None:
+    """Write ``msg`` as one frame to the worker's (blocking) result
+    pipe; a write the pipe takes in part is finished in a loop."""
+    view = memoryview(_frame(msg))
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _FrameReader:
+    """Reads frames back off a result pipe: :meth:`feed` takes the bytes
+    of one read and returns the messages they complete, in order; a
+    frame split across reads waits here for the rest."""
+
+    __slots__ = ("_pending",)
+
+    def __init__(self) -> None:
+        self._pending = bytearray()
+
+    def feed(self, data: bytes) -> list[tuple]:
+        """Append ``data``; return every message now complete."""
+        buf = self._pending
+        buf += data
+        messages: list[tuple] = []
+        start = 0
+        while len(buf) - start >= _FRAME.size:
+            (size,) = _FRAME.unpack_from(buf, start)
+            end = start + _FRAME.size + size
+            if end > len(buf):
+                break
+            messages.append(pickle.loads(buf[start + _FRAME.size:end]))
+            start = end
+        del buf[:start]
+        return messages
 
 
 # -- worker-side ----------------------------------------------------------
@@ -150,27 +214,34 @@ def _open_spec(spec: TreeSpec) -> tuple[OverlaySearcher, Any]:
     return OverlaySearcher(tree.searcher(spec.buffer_pages)), store
 
 
-def worker_main(conn: Any, spec: TreeSpec) -> None:
+def worker_main(requests: Any, results: Any, spec: TreeSpec) -> None:
     """Child-process entry point: serve query messages until told to stop.
 
-    Protocol (tuples over the duplex pipe)::
+    Protocol: tuples on two one-way pipes.  ``requests`` carries what
+    the frontend sends with ``Connection.send``; ``results`` carries one
+    frame per answer (:func:`_send`: an 8-byte big-endian length, then
+    the pickled tuple), which the frontend reads on its event loop::
 
-        parent -> ("search", req_id, payload) | ("remap", spec) | ("stop",)
-        child  -> ("ready", pid, generation)
-                | ("result", req_id, result) | ("error", req_id, code, msg)
-                | ("remapped", generation) | ("remap_failed", message)
+        requests -> ("search", req_id, payload) | ("remap", spec)
+                  | ("stop",)
+        results  -> ("ready", pid, generation)
+                  | ("result", req_id, result) | ("error", req_id, code, msg)
+                  | ("remapped", generation) | ("remap_failed", message)
 
-    A query failure answers a typed error and the worker lives on; only
-    a genuine crash (signal, unhandled corruption of the process itself)
-    drops the pipe, which is exactly the signal the supervisor watches.
+    A result's ``ids`` are encoded here, once, as
+    :class:`~repro.serve.protocol.EncodedIds`.  A query failure answers
+    a typed error and the worker lives on; only a genuine crash (signal,
+    unhandled corruption of the process itself) drops the result pipe,
+    which is exactly the signal the supervisor watches.
     """
     searcher, store = _open_spec(spec)
     quarantine: set[int] = set()
-    conn.send(("ready", os.getpid(), spec.generation))
+    out = results.fileno()
+    _send(out, ("ready", os.getpid(), spec.generation))
     try:
         while True:
             try:
-                msg = conn.recv()
+                msg = requests.recv()
             except (EOFError, OSError):
                 break
             kind = msg[0]
@@ -181,8 +252,8 @@ def worker_main(conn: Any, spec: TreeSpec) -> None:
                 try:
                     new_searcher, new_store = _open_spec(new_spec)
                 except Exception as exc:
-                    conn.send(("remap_failed",
-                               f"{type(exc).__name__}: {exc}"))
+                    _send(out, ("remap_failed",
+                                f"{type(exc).__name__}: {exc}"))
                     continue
                 old_store = store
                 searcher, store, spec = new_searcher, new_store, new_spec
@@ -193,7 +264,7 @@ def worker_main(conn: Any, spec: TreeSpec) -> None:
                     # Releasing the dead generation is best-effort; the
                     # new one is already serving.
                     pass
-                conn.send(("remapped", new_spec.generation))
+                _send(out, ("remapped", new_spec.generation))
                 continue
             if kind == "search":
                 req_id, payload = msg[1], msg[2]
@@ -202,22 +273,25 @@ def worker_main(conn: Any, spec: TreeSpec) -> None:
                     result = query.execute(searcher, payload,
                                            deadline.check, quarantine)
                 except ServeError as exc:
-                    conn.send(("error", req_id, exc.code, str(exc)))
+                    _send(out, ("error", req_id, exc.code, str(exc)))
                 except GeometryError as exc:
-                    conn.send(("error", req_id, BadRequest.code, str(exc)))
+                    _send(out, ("error", req_id, BadRequest.code, str(exc)))
                 except Exception as exc:
                     # Absorb per-request failures as typed errors so one
                     # malformed request cannot kill a healthy worker.
-                    conn.send(("error", req_id, "StoreUnavailable",
-                               f"{type(exc).__name__}: {exc}"))
+                    _send(out, ("error", req_id, "StoreUnavailable",
+                                f"{type(exc).__name__}: {exc}"))
                 else:
-                    conn.send(("result", req_id, result))
+                    if "ids" in result:
+                        result["ids"] = encode_ids(result["ids"])
+                    _send(out, ("result", req_id, result))
     finally:
         try:
             store.close()
         except (StoreError, OSError):
             pass  # process is exiting anyway
-        conn.close()
+        requests.close()
+        results.close()
 
 
 # -- parent-side ----------------------------------------------------------
@@ -238,16 +312,20 @@ class _Inflight:
 
 
 class _Worker:
-    """Parent-side bookkeeping for one child process."""
+    """Parent-side bookkeeping for one child process: ``requests`` is
+    the write end of its request pipe, ``results`` the non-blocking read
+    end of its result pipe (``None`` once it reached EOF)."""
 
-    __slots__ = ("index", "proc", "conn", "reader", "state", "generation",
-                 "backoff", "remap_future", "pid", "restarts")
+    __slots__ = ("index", "proc", "requests", "results", "frames", "state",
+                 "generation", "backoff", "remap_future", "pid",
+                 "restarts")
 
     def __init__(self, index: int, backoff: RestartBackoff) -> None:
         self.index = index
         self.proc: Any = None
-        self.conn: Any = None
-        self.reader: threading.Thread | None = None
+        self.requests: Any = None
+        self.results: Any = None
+        self.frames = _FrameReader()
         self.state = WorkerState.STOPPED
         self.generation = 0
         self.backoff = backoff
@@ -337,44 +415,59 @@ class WorkerPool:
         return live
 
     def _spawn(self, worker: _Worker) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        loop = asyncio.get_running_loop()
+        # One-way pipes: O_NONBLOCK on a duplex socket's end would make
+        # its sends non-blocking too.
+        requests_in, requests = self._ctx.Pipe(duplex=False)
+        results, results_out = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
-            target=worker_main, args=(child_conn, self.spec),
+            target=worker_main, args=(requests_in, results_out, self.spec),
             name=f"repro-serve-worker-{worker.index}", daemon=True)
         proc.start()
-        child_conn.close()
+        requests_in.close()
+        results_out.close()
+        os.set_blocking(results.fileno(), False)
         worker.proc = proc
-        worker.conn = parent_conn
+        worker.requests = requests
+        worker.results = results
+        worker.frames = _FrameReader()
         worker.state = WorkerState.STARTING
         worker.generation = 0
         worker.pid = proc.pid
-        reader = threading.Thread(
-            target=self._reader, args=(worker.index, parent_conn, proc),
-            name=f"repro-pool-reader-{worker.index}", daemon=True)
-        worker.reader = reader
-        reader.start()
+        loop.add_reader(results.fileno(), self._on_readable, worker)
 
-    def _reader(self, index: int, conn: Any, proc: Any) -> None:
-        """Per-worker pipe reader (thread): forward into the event loop."""
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            if not self._post(self._on_message, index, msg):
-                return
-        proc.join(timeout=5.0)
-        self._post(self._on_worker_exit, index, proc)
-
-    def _post(self, fn: Callable[..., None], *args: Any) -> bool:
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return False
+    def _on_readable(self, worker: _Worker) -> None:
+        """Loop callback: take what the result pipe holds and hand each
+        whole message to :meth:`_on_message`.  On EOF, stop reading and
+        wait for the process to exit."""
         try:
-            loop.call_soon_threadsafe(fn, *args)
-        except RuntimeError:
-            return False  # loop shut down mid-call
-        return True
+            data = os.read(worker.results.fileno(), _READ_SIZE)
+        except BlockingIOError:
+            return  # nothing to read after all
+        except OSError:
+            data = b""
+        if data:
+            for msg in worker.frames.feed(data):
+                self._on_message(worker.index, msg)
+            return
+        self._close_results(worker)
+        proc = worker.proc
+        asyncio.get_running_loop().add_reader(
+            proc.sentinel, self._on_sentinel, worker.index, proc)
+
+    def _on_sentinel(self, index: int, proc: Any) -> None:
+        """Loop callback: the process's sentinel fired, so it has exited."""
+        asyncio.get_running_loop().remove_reader(proc.sentinel)
+        # Only reaps: the sentinel is readable, so the process is past
+        # closing its files and the wait ends as soon as it is a zombie.
+        proc.join(timeout=1.0)
+        self._on_worker_exit(index, proc)
+
+    def _close_results(self, worker: _Worker) -> None:
+        results, worker.results = worker.results, None
+        if results is not None:
+            asyncio.get_running_loop().remove_reader(results.fileno())
+            results.close()
 
     async def aclose(self) -> None:
         """Stop every worker and fail whatever is still in flight."""
@@ -382,9 +475,9 @@ class WorkerPool:
             return
         self._closing = True
         for worker in self._workers:
-            if worker.conn is not None:
+            if worker.requests is not None:
                 try:
-                    worker.conn.send(("stop",))
+                    worker.requests.send(("stop",))
                 except (OSError, BrokenPipeError):
                     pass  # already dead is fine here
         for rec in list(self._inflight.values()):
@@ -392,25 +485,34 @@ class WorkerPool:
                 rec.future.set_exception(
                     PoolUnavailable("pool is shutting down"))
         self._inflight.clear()
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._join_all)
+        # Exits arrive through the loop (EOF, then the sentinel); a
+        # worker that has not stopped after 2 s is killed.
+        await self._exits(2.0)
+        for worker in self._running():
+            worker.proc.kill()
+        await self._exits(2.0)
+        loop = asyncio.get_running_loop()
         for worker in self._workers:
-            if worker.conn is not None:
-                worker.conn.close()
-                worker.conn = None
+            self._close_results(worker)
+            if worker.proc is not None:
+                loop.remove_reader(worker.proc.sentinel)
+            if worker.requests is not None:
+                worker.requests.close()
+                worker.requests = None
             worker.state = WorkerState.STOPPED
         self._wake_state_waiters()
         self._set_gauges()
 
-    def _join_all(self) -> None:
-        for worker in self._workers:
-            proc = worker.proc
-            if proc is None:
-                continue
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=2.0)
+    def _running(self) -> list[_Worker]:
+        """Workers whose process has not been seen to exit."""
+        return [w for w in self._workers
+                if w.state in (WorkerState.STARTING, WorkerState.READY)]
+
+    async def _exits(self, timeout: float) -> None:
+        """Wait up to ``timeout`` s for every running worker to exit."""
+        wait = Deadline.after(timeout, self.clock)
+        while self._running() and not wait.expired():
+            await self._state_changed(wait.remaining())
 
     # -- supervision -------------------------------------------------------
 
@@ -457,12 +559,15 @@ class WorkerPool:
             worker.backoff.reset()
 
     def _on_worker_exit(self, index: int, proc: Any) -> None:
-        """The reader saw EOF and the process is (nearly) gone."""
+        """The result pipe reached EOF and the process has exited."""
         worker = self._workers[index]
         if worker.proc is not proc:
             return  # stale event from a previous incarnation
         was_stopping = self._closing
         worker.state = WorkerState.STOPPED
+        if worker.requests is not None:
+            worker.requests.close()
+            worker.requests = None
         exitcode = proc.exitcode
         if worker.remap_future is not None and not worker.remap_future.done():
             worker.remap_future.set_exception(
@@ -524,7 +629,7 @@ class WorkerPool:
             self.requeues_total += 1
             obs.inc("serve.pool.requeues")
             try:
-                target.conn.send(("search", rec.req_id, rec.payload))
+                target.requests.send(("search", rec.req_id, rec.payload))
             except (OSError, BrokenPipeError):
                 # The sibling is dying too; its own exit event will
                 # finish the job (and the attempt budget is now spent).
@@ -542,9 +647,9 @@ class WorkerPool:
                     PoolUnavailable("pool degraded (flapping workers)"))
         self._inflight.clear()
         for worker in self._workers:
-            if worker.conn is not None and worker.live:
+            if worker.requests is not None and worker.live:
                 try:
-                    worker.conn.send(("stop",))
+                    worker.requests.send(("stop",))
                 except (OSError, BrokenPipeError):
                     pass  # dying anyway
         self._set_gauges()
@@ -602,25 +707,30 @@ class WorkerPool:
         rec = _Inflight(req_id, payload, future, worker.index)
         self._inflight[req_id] = rec
         try:
-            worker.conn.send(("search", req_id, payload))
+            worker.requests.send(("search", req_id, payload))
         except (OSError, BrokenPipeError):
             # Death raced the dispatch; the exit handler re-dispatches.
             pass
-        timeout = max(deadline.remaining(), 0.0) + self.grace_s
+        timer = self._loop.call_later(
+            max(deadline.remaining(), 0.0) + self.grace_s, self._expire, rec)
         try:
-            return await asyncio.wait_for(asyncio.shield(future), timeout)
-        except asyncio.TimeoutError:
-            # A healthy worker answers DeadlineExceeded itself well
-            # inside the grace; silence past deadline+grace means the
-            # worker is wedged.  Kill it — its other in-flight requests
-            # get the at-most-once re-dispatch.
-            self._inflight.pop(req_id, None)
-            if not future.done():
-                future.cancel()
-            self._kill_hung(rec.worker)
-            raise DeadlineExceeded(
-                f"request deadline exceeded and worker silent for "
-                f"{self.grace_s}s grace (worker killed)") from None
+            return await future
+        finally:
+            timer.cancel()
+
+    def _expire(self, rec: _Inflight) -> None:
+        """Loop timer at deadline plus grace.  A healthy worker answers
+        ``DeadlineExceeded`` itself well inside the grace; silence past
+        it means the worker is wedged.  Fail the request and kill the
+        worker — its other in-flight requests get the at-most-once
+        re-dispatch."""
+        if rec.future.done():
+            return
+        self._inflight.pop(rec.req_id, None)
+        rec.future.set_exception(DeadlineExceeded(
+            f"request deadline exceeded and worker silent for "
+            f"{self.grace_s}s grace (worker killed)"))
+        self._kill_hung(rec.worker)
 
     def _unavailable_reason(self) -> str:
         if not self._started or self._closing:
@@ -641,7 +751,7 @@ class WorkerPool:
         self.last_restart_reason = (
             f"worker {index} (pid {worker.pid}) killed: unresponsive "
             f"past deadline grace")
-        proc.kill()  # reader sees EOF -> normal death path
+        proc.kill()  # the result pipe reaches EOF -> normal death path
 
     # -- generation reload -------------------------------------------------
 
@@ -665,12 +775,12 @@ class WorkerPool:
             if self._loop is None:
                 raise PoolUnavailable("pool not started")
             for worker in self._workers:
-                if not worker.live or worker.conn is None:
+                if not worker.live or worker.requests is None:
                     continue
                 worker.remap_future = self._loop.create_future()
                 acks.append(worker.remap_future)
                 try:
-                    worker.conn.send(("remap", spec))
+                    worker.requests.send(("remap", spec))
                 except (OSError, BrokenPipeError):
                     worker.remap_future.set_exception(
                         PoolUnavailable("worker pipe closed mid-remap"))

@@ -45,7 +45,11 @@ generation still serving.
 Window ops return ``ids`` in ascending order.  Every serving path
 (in-process, ``--workers``, ``--ingest``) runs the same executor
 (:mod:`repro.serve.query`), so a request gets the same response bytes,
-``elapsed_s`` aside, whichever path answers it.
+``elapsed_s`` aside, whichever path answers it.  A pooled answer's
+``ids`` are encoded once, in the worker, as :class:`EncodedIds`: the
+JSON text of the list, which :func:`encode_response` splices into the
+line unchanged.  The bytes are the ones the list would give, and
+:func:`decode_response` returns a list either way.
 
 ``partial=true`` marks a degraded read: some subtrees were unreachable
 (corrupt, quarantined, or behind an open circuit breaker) and were
@@ -86,6 +90,8 @@ __all__ = [
     "ERROR_TYPES",
     "Request",
     "Response",
+    "EncodedIds",
+    "encode_ids",
     "encode_request",
     "decode_request",
     "encode_response",
@@ -104,6 +110,9 @@ REQUEST_LINE_LIMIT = 1 << 16
 #: ``search`` on a large tree runs to megabytes.  Past it the client
 #: raises :class:`ServeError` and drops that connection.
 RESPONSE_LINE_LIMIT = 1 << 24
+
+#: ``json.dumps`` separators of every line: no whitespace.
+_SEPARATORS = (",", ":")
 
 #: Operations that run a tree walk (deadline + admission controlled).
 QUERY_OPS = ("search", "point", "count", "knn")
@@ -226,6 +235,20 @@ class Request:
     data_id: int | None = None
 
 
+class EncodedIds(str):
+    """A response's ``ids`` as the JSON text :func:`encode_response`
+    would write for the list (``"[3,17]"``).  A pool worker encodes its
+    answer into one with :func:`encode_ids`, so no list of ints crosses
+    its pipe and none is encoded on the server's event loop."""
+
+    __slots__ = ()
+
+
+def encode_ids(ids: list[int]) -> EncodedIds:
+    """``ids`` as the text a response line carries for them."""
+    return EncodedIds(json.dumps(ids, separators=_SEPARATORS))
+
+
 @dataclass
 class Response:
     """One server response; ``ok=False`` carries a typed ``error`` code."""
@@ -233,7 +256,7 @@ class Response:
     id: int
     ok: bool
     op: str = ""
-    ids: list[int] | None = None
+    ids: list[int] | EncodedIds | None = None
     #: ``knn`` only: distances parallel to ``ids`` (non-decreasing;
     #: equal distances list their ids in ascending order).
     distances: list[float] | None = None
@@ -257,6 +280,9 @@ class Response:
 _REQUEST_FIELDS = tuple(f.name for f in fields(Request))
 _RESPONSE_FIELDS = tuple(f.name for f in fields(Response))
 _RESPONSE_FIELD_SET = frozenset(_RESPONSE_FIELDS)
+#: The fields on either side of ``ids``, for splicing in EncodedIds.
+_BEFORE_IDS = _RESPONSE_FIELDS[:_RESPONSE_FIELDS.index("ids")]
+_AFTER_IDS = _RESPONSE_FIELDS[len(_BEFORE_IDS) + 1:]
 
 
 def _payload(obj: Request | Response, names: tuple[str, ...]) -> dict:
@@ -268,7 +294,7 @@ def _payload(obj: Request | Response, names: tuple[str, ...]) -> dict:
 
 
 def _encode(payload: dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    return (json.dumps(payload, separators=_SEPARATORS) + "\n").encode("utf-8")
 
 
 def encode_request(req: Request) -> bytes:
@@ -345,8 +371,21 @@ def _bad_request(message: str, req_id: int) -> BadRequest:
 
 
 def encode_response(resp: Response) -> bytes:
-    """Response -> one JSON line (``None`` fields omitted)."""
-    return _encode(_payload(resp, _RESPONSE_FIELDS))
+    """Response -> one JSON line (``None`` fields omitted).
+
+    :class:`EncodedIds` go in as written, between the fields encoded
+    before and after them, which gives the line a list would."""
+    if not isinstance(resp.ids, EncodedIds):
+        return _encode(_payload(resp, _RESPONSE_FIELDS))
+    members = (_members(resp, _BEFORE_IDS), '"ids":' + resp.ids,
+               _members(resp, _AFTER_IDS))
+    return ("{" + ",".join(m for m in members if m) + "}\n").encode("utf-8")
+
+
+def _members(resp: Response, names: tuple[str, ...]) -> str:
+    """``resp``'s non-``None`` fields among ``names`` as the members of
+    a JSON object, without its braces."""
+    return json.dumps(_payload(resp, names), separators=_SEPARATORS)[1:-1]
 
 
 def decode_response(line: bytes | str) -> Response:

@@ -83,7 +83,8 @@ def execute(searcher: OverlaySearcher, payload: dict,
     skips every page in ``quarantine`` and, in degraded mode, adds each
     page that failed through its own fault (:data:`QUARANTINABLE`).  Ids
     are sorted and made Python ints here, on their way to the wire (the
-    socket, or a worker's pipe); ``count`` never builds them.
+    socket, or a worker's pipe, which carries them JSON-encoded);
+    ``count`` never builds them.
     """
     faults: list[str] = []
 

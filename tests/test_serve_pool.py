@@ -4,12 +4,16 @@ flap degradation with in-process fallback, drain/remap, and the pool
 blocks of the health endpoints."""
 
 import asyncio
+import json
+import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
 from repro import RectArray, SortTileRecursive, bulk_load
+from repro.core.geometry import Rect
 from repro.queries import region_queries
 from repro.rtree.knn import knn
 from repro.serve import (
@@ -23,7 +27,13 @@ from repro.serve import (
     WorkerState,
 )
 from repro.serve.deadline import Deadline
-from repro.serve.protocol import rect_to_wire
+from repro.serve.pool import _frame, _FrameReader
+from repro.serve.protocol import (
+    DeadlineExceeded,
+    EncodedIds,
+    encode_ids,
+    rect_to_wire,
+)
 from repro.storage import FilePageStore, MemoryPageStore, StripedPageStore
 from repro.storage.integrity import TRAILER_SIZE
 from repro.storage.page import required_page_size
@@ -147,35 +157,127 @@ class TestTreeSpec:
         tree.store.close()
 
 
+class TestResultFrames:
+    MESSAGES = [
+        ("ready", 4242, 1),
+        ("result", 7, {"count": 503, "ids": encode_ids(list(range(-3, 500))),
+                       "partial": False, "unreachable_subtrees": 0,
+                       "faults": []}),
+        ("error", 8, "BadRequest", "x" * 300),
+        ("remapped", 2),
+    ]
+
+    def _stream(self):
+        return b"".join(_frame(msg) for msg in self.MESSAGES)
+
+    def test_a_stream_split_at_every_offset_reads_back_in_order(self):
+        stream = self._stream()
+        for cut in range(len(stream) + 1):
+            reader = _FrameReader()
+            got = reader.feed(stream[:cut]) + reader.feed(stream[cut:])
+            assert got == self.MESSAGES, cut
+            assert type(got[1][2]["ids"]) is EncodedIds
+
+    def test_many_frames_per_read_and_one_byte_per_read(self):
+        stream = self._stream()
+        assert _FrameReader().feed(stream) == self.MESSAGES
+        reader = _FrameReader()
+        got = [msg for at in range(len(stream))
+               for msg in reader.feed(stream[at:at + 1])]
+        assert got == self.MESSAGES
+        assert reader.feed(b"") == []
+
+
 def _payload(rect, budget_s=30.0):
     return {"op": "search", "rect": rect_to_wire(rect),
             "degraded": True, "budget_s": budget_s}
 
 
+def _ids(result):
+    """A pooled result's ids, which the worker sent already encoded."""
+    assert isinstance(result["ids"], EncodedIds)
+    return json.loads(result["ids"])
+
+
+def _check_pool_against_the_oracle(tmp_path, rng):
+    tree = _durable_tree(tmp_path, rng)
+    oracle = tree.searcher(256)
+    spec = TreeSpec.for_tree(tree, buffer_pages=64, generation=1)
+    queries = list(region_queries(0.05, 20, seed=5))
+
+    async def scenario():
+        pool = WorkerPool(spec, 2, seed=0)
+        assert await pool.start() == 2
+        try:
+            assert pool.generation == 1
+            for q in queries:
+                result = await pool.execute(_payload(q),
+                                            Deadline.after(30.0))
+                expected = sorted(int(x) for x in oracle.search(q))
+                assert _ids(result) == expected
+                assert not result["partial"]
+        finally:
+            await pool.aclose()
+        snap = pool.snapshot()
+        assert snap["workers_live"] == 0
+        assert all(w["state"] == WorkerState.STOPPED
+                   for w in snap["workers"])
+        return pool
+
+    pool = run(scenario())
+    tree.store.close()
+    return pool
+
+
 class TestWorkerPoolDirect:
     def test_pool_answers_match_the_oracle(self, tmp_path, rng):
+        _check_pool_against_the_oracle(tmp_path, rng)
+
+    def test_pool_answers_match_the_oracle_under_spawn(
+            self, tmp_path, rng, monkeypatch):
+        # The pool picks fork where the platform has it; a spawned
+        # worker starts from a fresh import and gets only what pickles.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        pool = _check_pool_against_the_oracle(tmp_path, rng)
+        assert pool._ctx.get_start_method() == "spawn"
+
+    def test_wedged_worker_is_killed_at_deadline_plus_grace(
+            self, tmp_path, rng):
         tree = _durable_tree(tmp_path, rng)
         oracle = tree.searcher(256)
         spec = TreeSpec.for_tree(tree, buffer_pages=64, generation=1)
-        queries = list(region_queries(0.05, 20, seed=5))
+        q = list(region_queries(0.05, 1, seed=10))[0]
+        deadline_s, grace_s = 0.5, 0.3
 
         async def scenario():
-            pool = WorkerPool(spec, 2, seed=0)
-            assert await pool.start() == 2
+            pool = WorkerPool(spec, 1, seed=0, grace_s=grace_s)
+            await pool.start()
             try:
-                assert pool.generation == 1
-                for q in queries:
-                    result = await pool.execute(_payload(q),
-                                                Deadline.after(30.0))
-                    expected = sorted(int(x) for x in oracle.search(q))
-                    assert result["ids"] == expected
-                    assert not result["partial"]
+                # A stopped worker neither answers nor cancels itself:
+                # only the supervisor's timer can end the request.
+                os.kill(pool.snapshot()["workers"][0]["pid"], signal.SIGSTOP)
+                start = time.monotonic()
+                with pytest.raises(DeadlineExceeded, match="worker killed"):
+                    await pool.execute(_payload(q, budget_s=deadline_s),
+                                       Deadline.after(deadline_s))
+                elapsed = time.monotonic() - start
+                assert deadline_s + grace_s <= elapsed
+                assert elapsed < deadline_s + grace_s + 3.0
+                assert pool.hung_kills_total == 1
+                wait = Deadline.after(10.0)
+                while (pool.restarts_total < 1
+                       or pool.workers_live < pool.size) \
+                        and not wait.expired():
+                    await asyncio.sleep(0.05)
+                assert pool.restarts_total == 1
+                assert pool.workers_live == pool.size
+                result = await pool.execute(_payload(q),
+                                            Deadline.after(30.0))
+                assert _ids(result) == sorted(
+                    int(x) for x in oracle.search(q))
             finally:
                 await pool.aclose()
-            snap = pool.snapshot()
-            assert snap["workers_live"] == 0
-            assert all(w["state"] == WorkerState.STOPPED
-                       for w in snap["workers"])
 
         run(scenario())
         tree.store.close()
@@ -198,7 +300,7 @@ class TestWorkerPoolDirect:
                 for q in queries:
                     result = await pool.execute(_payload(q),
                                                 Deadline.after(30.0))
-                    assert result["ids"] == sorted(
+                    assert _ids(result) == sorted(
                         int(x) for x in oracle.search(q))
                 deadline = Deadline.after(10.0)
                 while pool.workers_live < 2 and not deadline.expired():
@@ -269,7 +371,7 @@ class TestWorkerPoolDirect:
                 for q in queries:
                     result = await pool.execute(_payload(q),
                                                 Deadline.after(30.0))
-                    assert result["ids"] == sorted(
+                    assert _ids(result) == sorted(
                         int(x) for x in oracle2.search(q))
             finally:
                 await pool.aclose()
@@ -324,6 +426,27 @@ class TestServerWithPool:
                     assert resp.ids == [i for i, _ in expected]
                     assert resp.distances == pytest.approx(
                         [d for _, d in expected])
+
+        run(scenario())
+        tree.store.close()
+
+    def test_whole_square_answer_outgrows_the_pipe_buffer(
+            self, tmp_path, rng):
+        # 20,000 ids are about 110 KB on the wire, past a pipe's 64 KiB
+        # buffer: the worker's result arrives over several reads.
+        tree = _durable_tree(tmp_path, rng, n=20_000)
+        whole = Rect((0.0, 0.0), (1.0, 1.0))
+
+        async def scenario():
+            async with QueryServer(tree, buffer_pages=64,
+                                   workers=2) as server:
+                assert server.pool is not None, server.pool_start_error
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as client:
+                    resp = (await client.search(whole)).raise_for_error()
+                    assert resp.ids == list(range(20_000))
+                    assert (await client.ping())["version"] == 1
+                assert server.pool_fallbacks == 0
 
         run(scenario())
         tree.store.close()

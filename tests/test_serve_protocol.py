@@ -6,11 +6,11 @@ import asyncio
 import copy
 import json
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.serve.server as server_module
@@ -38,6 +38,7 @@ from repro.serve import (
     rect_from_wire,
     rect_to_wire,
 )
+from repro.serve.protocol import EncodedIds, encode_ids
 from repro.storage import FilePageStore
 from repro.storage.faults import corrupt_pages
 from repro.storage.integrity import TRAILER_SIZE
@@ -228,6 +229,25 @@ class TestEncodersMatchTheAsdictReference:
         monkeypatch.setattr(copy, "deepcopy", refuse)
         assert (encode_response(resp), encode_request(req)) == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(_RESPONSES, _IDS)
+    @example(Response(id=1, ok=True, op="knn", distances=[0.0, 0.5, 2.0],
+                      count=3, elapsed_s=0.0012),
+             [-(1 << 63), 0, (1 << 63) - 1])
+    @example(Response(id=2, ok=True, op="search", count=0, partial=True,
+                      unreachable_subtrees=1), [])
+    @example(Response(id=3, ok=True, op="point", count=2),
+             [-((1 << 63) - 1), -1])
+    @example(Response(id=None, ok=None, op=None, partial=None,
+                      unreachable_subtrees=None), [5])
+    def test_pre_encoded_ids_write_the_list_bytes(self, resp, ids):
+        listed = replace(resp, ids=ids)
+        encoded = replace(resp, ids=encode_ids(ids))
+        assert encode_response(encoded) == encode_response(listed) \
+            == _reference(listed)
+        if resp.id is not None and resp.ok is not None:  # decodable
+            assert decode_response(encode_response(encoded)).ids == ids
+
 
 CAPACITY = 25
 NDIM = 2
@@ -305,9 +325,16 @@ def test_every_server_response_matches_the_reference(tmp_path, monkeypatch):
     shutil.copyfile(clean, tmp_path / "next.rt")
     shutil.copyfile(clean, tmp_path / "ingest.rt")
     sent: list[tuple[Response, bytes, bytes]] = []
+    spliced = []
 
     def recording(resp):
-        sent.append((resp, encode_response(resp), _reference(resp)))
+        # The reference encodes ids the pool sent pre-encoded as a
+        # string; hand it the list they stand for.
+        listed = resp
+        if isinstance(resp.ids, EncodedIds):
+            listed = replace(resp, ids=json.loads(resp.ids))
+            spliced.append(resp.op)
+        sent.append((listed, encode_response(resp), _reference(listed)))
         return sent[-1][1]
 
     monkeypatch.setattr(server_module, "encode_response", recording)
@@ -357,6 +384,7 @@ def test_every_server_response_matches_the_reference(tmp_path, monkeypatch):
     asyncio.run(ingest())
     differ = [(resp, got, want) for resp, got, want in sent if got != want]
     assert not differ, differ[0]
+    assert {"search", "point", "knn"} <= set(spliced)
     shapes = {_shape(resp) for resp, _, _ in sent}
     expected = {"ping", "search", "count", "point", "knn", "search partial",
                 "insert", "delete", "merge", "reload",
