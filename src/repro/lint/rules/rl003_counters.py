@@ -4,8 +4,9 @@ PR 1's contract is that telemetry is *provably non-perturbing*: the
 paper's ``mean_accesses`` figures are bit-identical with tracing on or
 off.  Two structural properties keep that true:
 
-1. the dependency arrow points one way — ``repro.storage.counters``
-   builds ``IOStats`` on top of ``repro.obs.metrics``, so nothing in
+1. the dependency arrow points one way — the storage layer reports
+   into ``repro.obs`` (``obs.inc``, ``obs.span``, and
+   ``obs.record_iostats`` for ``IOStats`` totals), so nothing in
    ``repro.obs`` may import from ``repro.storage`` (or name
    ``IOStats`` at all); and
 2. error-handling paths never move *access* counters — a retried read
@@ -44,7 +45,7 @@ IO_FIELDS = frozenset(
 #: Method names that mutate metric instruments.
 MUTATOR_METHODS = frozenset({"inc", "observe"})
 
-#: Metric-name prefix of the access counters backing ``IOStats``.
+#: Metric-name prefix of the access counters (the ``IOStats`` fields).
 IO_METRIC_PREFIX = "io."
 
 

@@ -8,8 +8,8 @@ did, how long each phase ran) first-class:
 * :mod:`~repro.obs.spans` — nested timed regions with wall/CPU clocks
   and JSONL export (``str.sort``, ``bulk.write_level``, ``query.batch``);
 * :mod:`~repro.obs.metrics` — a registry of named counters, gauges and
-  histograms that backs :class:`~repro.storage.counters.IOStats` and
-  absorbs buffer-pool and per-query statistics;
+  histograms that absorbs :class:`~repro.storage.counters.IOStats`
+  totals and per-query statistics;
 * :mod:`~repro.obs.runtime` — the ambient on/off switch: instrumented
   code calls ``obs.span(...)``/``obs.observe(...)`` and pays ~nothing
   while telemetry is disabled (the default);

@@ -1,10 +1,10 @@
 """Metrics registry: named counters, gauges and histograms.
 
 One :class:`MetricsRegistry` is the single sink every component reports
-into — the buffer pool's hit/miss/eviction counts, the page stores' read
-and write traffic (via the :class:`~repro.storage.counters.IOStats`
-façade, which is backed by counters from a registry), per-query latency
-and access histograms, and tree-shape gauges.  Experiments snapshot the
+into — the buffer pool's hit/miss/eviction counts and the page stores'
+read and write traffic (:class:`~repro.storage.counters.IOStats` totals,
+copied in at batch boundaries), per-query latency and access
+histograms, and tree-shape gauges.  Experiments snapshot the
 registry into run manifests; parallel or per-shard registries fold back
 together with :meth:`MetricsRegistry.merge`.
 

@@ -506,7 +506,8 @@ class WorkerPool:
     def _running(self) -> list[_Worker]:
         """Workers whose process has not been seen to exit."""
         return [w for w in self._workers
-                if w.state in (WorkerState.STARTING, WorkerState.READY)]
+                if w.state in (WorkerState.STARTING, WorkerState.READY,
+                               WorkerState.KILLED)]
 
     async def _exits(self, timeout: float) -> None:
         """Wait up to ``timeout`` s for every running worker to exit."""
@@ -752,6 +753,10 @@ class WorkerPool:
             f"worker {index} (pid {worker.pid}) killed: unresponsive "
             f"past deadline grace")
         proc.kill()  # the result pipe reaches EOF -> normal death path
+        # Out of _pick's rotation now, not when the exit is handled: a
+        # request sent in between would go to a dead process.
+        worker.state = WorkerState.KILLED
+        self._set_gauges()
 
     # -- generation reload -------------------------------------------------
 

@@ -394,7 +394,8 @@ def decode_response(line: bytes | str) -> Response:
         payload = json.loads(line)
     except (ValueError, UnicodeDecodeError) as exc:
         raise ServeError(f"response is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "ok" not in payload:
+    if (not isinstance(payload, dict) or "ok" not in payload
+            or type(payload.get("id")) is not int):
         raise ServeError(f"malformed response line: {line!r}")
     return Response(**{k: v for k, v in payload.items()
                        if k in _RESPONSE_FIELD_SET})

@@ -41,6 +41,8 @@ class WorkerState:
 
     STARTING = "starting"
     READY = "ready"
+    #: SIGKILLed by the supervisor: out of the rotation, exit not yet seen.
+    KILLED = "killed"
     RESTARTING = "restarting"
     STOPPED = "stopped"
 

@@ -4,7 +4,9 @@ The paper runs every experiment through an LRU buffer of a configurable
 number of pages and counts buffer misses as disk accesses.  The
 :class:`BufferPool` here reproduces that measurement: it caches *decoded*
 page values keyed by page id, but hit/miss accounting is strictly per page,
-so the numbers are identical to caching raw bytes.
+so the numbers are identical to caching raw bytes.  It is a read cache:
+packed trees are written once through the page store, never through the
+pool.
 
 LRU is the paper's policy.  FIFO and CLOCK are provided for the buffering
 ablation (the paper discusses — citing its companion study [8] — pinning
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import Callable, Container, Generic, Hashable, TypeVar
 
 from .counters import IOStats
 
@@ -56,11 +58,11 @@ class ReplacementPolicy(abc.ABC, Generic[K]):
 
     @abc.abstractmethod
     def on_remove(self, key: K) -> None:
-        """A page was removed (evicted or invalidated)."""
+        """A page was evicted."""
 
     @abc.abstractmethod
-    def victim(self, pinned: frozenset[K]) -> K:
-        """Choose a non-pinned resident page to evict."""
+    def victim(self, pinned: Container[K]) -> K:
+        """Choose a resident page not in ``pinned`` to evict."""
 
     @abc.abstractmethod
     def clear(self) -> None:
@@ -82,7 +84,7 @@ class LRUPolicy(ReplacementPolicy[K]):
     def on_remove(self, key: K) -> None:
         self._order.pop(key, None)
 
-    def victim(self, pinned: frozenset[K]) -> K:
+    def victim(self, pinned: Container[K]) -> K:
         for key in self._order:
             if key not in pinned:
                 return key
@@ -107,7 +109,7 @@ class FIFOPolicy(ReplacementPolicy[K]):
     def on_remove(self, key: K) -> None:
         self._order.pop(key, None)
 
-    def victim(self, pinned: frozenset[K]) -> K:
+    def victim(self, pinned: Container[K]) -> K:
         for key in self._order:
             if key not in pinned:
                 return key
@@ -133,7 +135,7 @@ class ClockPolicy(ReplacementPolicy[K]):
     def on_remove(self, key: K) -> None:
         self._ref.pop(key, None)
 
-    def victim(self, pinned: frozenset[K]) -> K:
+    def victim(self, pinned: Container[K]) -> K:
         # Sweep the hand; give referenced pages a second chance.
         for _ in range(2 * len(self._ref) + 1):
             key = next(iter(self._ref))
@@ -170,7 +172,7 @@ def make_policy(name: str) -> ReplacementPolicy:
 
 
 class BufferPool(Generic[K, V]):
-    """A fixed-capacity page cache with miss accounting.
+    """A fixed-capacity read cache of pages with miss accounting.
 
     Parameters
     ----------
@@ -185,9 +187,6 @@ class BufferPool(Generic[K, V]):
         Shared :class:`IOStats`; created if omitted.
     policy:
         A policy name or a :class:`ReplacementPolicy` instance.
-    writeback:
-        Optional ``(key, value) -> None`` invoked when a *dirty* page is
-        evicted or flushed; each call counts one disk write.
     """
 
     def __init__(
@@ -197,18 +196,15 @@ class BufferPool(Generic[K, V]):
         *,
         stats: IOStats | None = None,
         policy: str | ReplacementPolicy = "lru",
-        writeback: Callable[[K, V], None] | None = None,
     ) -> None:
         if capacity < 1:
             raise BufferError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = stats if stats is not None else IOStats()
         self._fetch = fetch
-        self._writeback = writeback
         self._policy = policy if isinstance(policy, ReplacementPolicy) \
             else make_policy(policy)
         self._pages: dict[K, V] = {}
-        self._dirty: set[K] = set()
         self._pinned: dict[K, int] = {}
 
     # -- core interface -----------------------------------------------------
@@ -223,16 +219,6 @@ class BufferPool(Generic[K, V]):
         value = self._fetch(key)
         self._admit(key, value)
         return value
-
-    def put(self, key: K, value: V, *, dirty: bool = True) -> None:
-        """Install/overwrite a page without a fetch (write path)."""
-        if key in self._pages:
-            self._pages[key] = value
-            self._policy.on_access(key)
-        else:
-            self._admit(key, value)
-        if dirty:
-            self._dirty.add(key)
 
     def contains(self, key: K) -> bool:
         """Residency check with no side effects on the policy."""
@@ -265,31 +251,11 @@ class BufferPool(Generic[K, V]):
 
     # -- maintenance ---------------------------------------------------------
 
-    def flush(self) -> None:
-        """Write back all dirty pages (they stay resident)."""
-        for key in sorted(self._dirty, key=repr):
-            self._write_out(key)
-        self._dirty.clear()
-
-    def invalidate(self, key: K) -> None:
-        """Drop a page without writeback (caller owns durability)."""
-        if key in self._pages:
-            del self._pages[key]
-            self._dirty.discard(key)
-            self._pinned.pop(key, None)
-            self._policy.on_remove(key)
-
     def clear(self) -> None:
-        """Write back dirty pages, then empty the pool."""
-        self.flush()
+        """Empty the pool (pins included); the counters are kept."""
         self._pages.clear()
-        self._dirty.clear()
         self._pinned.clear()
         self._policy.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the shared hit/miss counters."""
-        self.stats.reset()
 
     # -- internals -----------------------------------------------------------
 
@@ -300,17 +266,7 @@ class BufferPool(Generic[K, V]):
         self._policy.on_insert(key)
 
     def _evict_one(self) -> None:
-        victim = self._policy.victim(frozenset(self._pinned))
-        if victim in self._dirty:
-            self._write_out(victim)
-            self._dirty.discard(victim)
+        victim = self._policy.victim(self._pinned)
         del self._pages[victim]
         self._policy.on_remove(victim)
         self.stats.evictions += 1
-
-    def _write_out(self, key: K) -> None:
-        if self._writeback is None:
-            raise BufferError(
-                f"dirty page {key!r} but the pool has no writeback function"
-            )
-        self._writeback(key, self._pages[key])

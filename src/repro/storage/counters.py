@@ -7,21 +7,12 @@ every component that touches a page (buffer pool, page store) increments the
 same counters, and experiment runners snapshot/reset them around each query
 batch.
 
-Since the observability layer landed, :class:`IOStats` is a thin façade
-over :class:`~repro.obs.metrics.MetricsRegistry` counters: each field
-(``disk_reads``, ``disk_writes``, ``buffer_hits``, ``buffer_misses``,
-``evictions``) is backed by an ``io.<field>`` counter in a registry.  By
-default every ``IOStats`` owns a private registry, so behaviour and
-isolation are exactly as before; passing a shared registry makes several
-components report into one place.  The attribute API (``stats.disk_reads
-+= 1``) is unchanged — hot paths do not know the registry exists.
+Each field is a plain ``int`` slot, so a hit, miss, read or eviction is
+one attribute write on the hot path.  Telemetry copies the totals into
+its registry only at batch boundaries (``obs.record_iostats``).
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-from ..obs.metrics import Counter, MetricsRegistry
 
 __all__ = ["IOStats"]
 
@@ -35,15 +26,16 @@ class IOStats:
         Pages fetched from the backing store (buffer misses).  This is the
         paper's "disk accesses" figure.
     disk_writes:
-        Pages written back to the store (dirty evictions + explicit flushes).
+        Pages written to the store.
     buffer_hits:
         Page requests satisfied from the buffer pool.
     buffer_misses:
         Page requests that had to go to the store.  Equal to ``disk_reads``
-        for read-only workloads; kept separate so write-path accounting
-        stays honest.
+        when the fetch function reads through the same ``IOStats``; kept
+        separate so a miss and the read it causes are counted by the
+        component that does each.
     evictions:
-        Pages pushed out of the buffer pool to make room (clean or dirty).
+        Pages pushed out of the buffer pool to make room.
     """
 
     FIELDS = (
@@ -54,64 +46,25 @@ class IOStats:
         "evictions",
     )
 
-    __slots__ = ("registry", "prefix", "_counters", "_history")
-
-    if TYPE_CHECKING:
-        # The field accessors are generated properties (see the
-        # ``setattr`` loop below the class); declare them for type
-        # checkers, which cannot follow the loop.
-        disk_reads: int
-        disk_writes: int
-        buffer_hits: int
-        buffer_misses: int
-        evictions: int
+    __slots__ = FIELDS
 
     def __init__(self, disk_reads: int = 0, disk_writes: int = 0,
                  buffer_hits: int = 0, buffer_misses: int = 0,
-                 evictions: int = 0, *,
-                 registry: MetricsRegistry | None = None,
-                 prefix: str = "io") -> None:
-        #: Backing registry; private per instance unless one is passed in.
-        #: Two IOStats sharing a registry *and* prefix alias the same
-        #: counters — that is the "one registry" aggregation mode.
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
-        self._counters: dict[str, Counter] = {
-            name: self.registry.counter(f"{prefix}.{name}")
-            for name in self.FIELDS
-        }
-        self._history: list["IOStats"] = []
-        for name, value in zip(self.FIELDS, (disk_reads, disk_writes,
-                                             buffer_hits, buffer_misses,
-                                             evictions)):
-            if value:
-                self._counters[name].inc(value)
-
-    # Field accessors are generated below the class body: one property per
-    # FIELDS entry, reading/writing the backing counter's value.
+                 evictions: int = 0) -> None:
+        self.disk_reads = disk_reads
+        self.disk_writes = disk_writes
+        self.buffer_hits = buffer_hits
+        self.buffer_misses = buffer_misses
+        self.evictions = evictions
 
     def reset(self) -> None:
-        """Zero all counters (history is preserved)."""
-        for counter in self._counters.values():
-            counter.reset()
+        """Zero all counters."""
+        for name in self.FIELDS:
+            setattr(self, name, 0)
 
     def snapshot(self) -> "IOStats":
-        """A history-free copy of the current counts.
-
-        The copy owns a fresh private registry and an empty history: it
-        shares *no* state with this instance, so it can be stored, added,
-        or mutated without ever affecting live accounting.
-        """
+        """An independent copy of the current counts."""
         return IOStats(**self.as_dict())
-
-    def checkpoint(self) -> None:
-        """Append a snapshot to the history, then reset."""
-        self._history.append(self.snapshot())
-        self.reset()
-
-    @property
-    def history(self) -> tuple["IOStats", ...]:
-        return tuple(self._history)
 
     @property
     def total_accesses(self) -> int:
@@ -128,22 +81,20 @@ class IOStats:
 
     def as_dict(self) -> dict[str, int]:
         """Plain ``{field: count}`` dict (the metrics-export form)."""
-        return {name: self._counters[name].value for name in self.FIELDS}
+        return {name: getattr(self, name) for name in self.FIELDS}
 
     def __add__(self, other: "IOStats") -> "IOStats":
         if not isinstance(other, IOStats):
             return NotImplemented
-        mine, theirs = self.as_dict(), other.as_dict()
-        return IOStats(**{k: mine[k] + theirs[k] for k in self.FIELDS})
+        return IOStats(*(getattr(self, name) + getattr(other, name)
+                         for name in self.FIELDS))
 
     def __iadd__(self, other: "IOStats") -> "IOStats":
-        """Accumulate ``other`` in place (registry binding and history
-        are kept; only the counter values change)."""
+        """Accumulate ``other`` in place (this object, new counts)."""
         if not isinstance(other, IOStats):
             return NotImplemented
-        for name, value in other.as_dict().items():
-            if value:
-                self._counters[name].inc(value)
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def __eq__(self, other: object) -> bool:
@@ -154,18 +105,3 @@ class IOStats:
     def __repr__(self) -> str:
         body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"IOStats({body})"
-
-
-def _field_property(name: str) -> property:
-    def _get(self: IOStats) -> int:
-        return self._counters[name].value
-
-    def _set(self: IOStats, value: int) -> None:
-        self._counters[name].value = int(value)
-
-    return property(_get, _set, doc=f"Backed by the ``io.{name}`` counter.")
-
-
-for _name in IOStats.FIELDS:
-    setattr(IOStats, _name, _field_property(_name))
-del _name

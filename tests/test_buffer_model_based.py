@@ -54,11 +54,12 @@ def test_lru_pool_matches_reference(capacity, keys):
 @given(st.integers(2, 8), ops, st.integers(0, 12))
 @settings(max_examples=80)
 def test_pinned_key_never_evicted(capacity, keys, pinned):
-    pool = BufferPool(capacity, lambda k: f"page-{k}")
-    pool.pin(pinned)
-    for key in keys:
-        pool.get(key)
-        assert pool.contains(pinned)
+    for policy in ("lru", "fifo", "clock"):
+        pool = BufferPool(capacity, lambda k: f"page-{k}", policy=policy)
+        pool.pin(pinned)
+        for key in keys:
+            pool.get(key)
+            assert pool.contains(pinned)
 
 
 @given(st.integers(1, 6), ops)

@@ -70,6 +70,17 @@ class TestBasics:
         pool.get(1)
         assert stats.buffer_misses == 1
 
+    def test_clear_empties_the_pool(self, fetch):
+        pool = BufferPool(4, fetch)
+        pool.pin(1)
+        pool.get(2)
+        pool.clear()
+        assert len(pool) == 0
+        assert not pool.pinned_keys
+        assert pool.stats.buffer_misses == 2   # counters are kept
+        pool.get(1)
+        assert fetch.calls == [1, 2, 1]
+
 
 class TestLRU:
     def test_evicts_least_recently_used(self, fetch):
@@ -184,68 +195,3 @@ class TestPinning:
         pool.pin(2)
         with pytest.raises(BufferError):
             pool.get(3)
-
-
-class TestWriteback:
-    def test_dirty_eviction_writes_back(self, fetch):
-        written = []
-        pool = BufferPool(
-            2, fetch, writeback=lambda k, v: written.append((k, v))
-        )
-        pool.put(1, "v1", dirty=True)
-        pool.get(2)
-        pool.get(3)  # evicts 1 (dirty)
-        assert written == [(1, "v1")]
-
-    def test_clean_eviction_no_writeback(self, fetch):
-        written = []
-        pool = BufferPool(
-            2, fetch, writeback=lambda k, v: written.append(k)
-        )
-        pool.get(1)
-        pool.get(2)
-        pool.get(3)
-        assert written == []
-
-    def test_flush_writes_all_dirty(self, fetch):
-        written = []
-        pool = BufferPool(
-            4, fetch, writeback=lambda k, v: written.append(k)
-        )
-        pool.put(1, "a")
-        pool.put(2, "b")
-        pool.flush()
-        assert sorted(written) == [1, 2]
-        pool.flush()  # idempotent
-        assert sorted(written) == [1, 2]
-
-    def test_dirty_eviction_without_writeback_raises(self, fetch):
-        pool = BufferPool(1, fetch)
-        pool.put(1, "a", dirty=True)
-        with pytest.raises(BufferError):
-            pool.get(2)
-
-    def test_put_overwrites_resident_value(self, fetch):
-        pool = BufferPool(2, fetch, writeback=lambda k, v: None)
-        pool.get(1)
-        pool.put(1, "replacement", dirty=False)
-        assert pool.get(1) == "replacement"
-
-    def test_invalidate_drops_without_writeback(self, fetch):
-        written = []
-        pool = BufferPool(2, fetch,
-                          writeback=lambda k, v: written.append(k))
-        pool.put(1, "a", dirty=True)
-        pool.invalidate(1)
-        assert not pool.contains(1)
-        assert written == []
-
-    def test_clear_flushes_then_empties(self, fetch):
-        written = []
-        pool = BufferPool(4, fetch,
-                          writeback=lambda k, v: written.append(k))
-        pool.put(1, "a")
-        pool.get(2)
-        pool.clear()
-        assert written == [1]
-        assert len(pool) == 0

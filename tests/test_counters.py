@@ -22,12 +22,10 @@ def test_snapshot_is_independent():
     assert snap.disk_reads == 3
 
 
-def test_checkpoint_appends_history_and_resets():
-    s = IOStats(disk_reads=7)
-    s.checkpoint()
-    assert s.disk_reads == 0
-    assert len(s.history) == 1
-    assert s.history[0].disk_reads == 7
+def test_instances_share_no_state():
+    a, b = IOStats(), IOStats()
+    a.disk_reads += 2
+    assert b.disk_reads == 0
 
 
 def test_total_accesses():
@@ -63,15 +61,13 @@ def test_addition_wrong_type():
 
 def test_inplace_addition():
     a = IOStats(disk_reads=1, evictions=2)
-    a.checkpoint()          # give `a` some history
-    a.disk_reads = 1
     b = IOStats(disk_reads=3, buffer_hits=4)
     before = a
     a += b
     assert a is before      # updates in place, no new object
     assert a.disk_reads == 4
     assert a.buffer_hits == 4
-    assert len(a.history) == 1   # history survives +=
+    assert a.evictions == 2
     assert b.disk_reads == 3     # right-hand side untouched
 
 
@@ -94,15 +90,6 @@ def test_as_dict_has_all_fields():
         "buffer_misses": 4,
         "evictions": 5,
     }
-
-
-def test_snapshot_drops_history():
-    s = IOStats(disk_reads=7)
-    s.checkpoint()
-    s.disk_reads = 2
-    snap = s.snapshot()
-    assert snap.disk_reads == 2
-    assert not snap.history      # documented: counters only, no history
 
 
 def test_evictions_counted_by_buffer_pool():

@@ -148,27 +148,6 @@ class TestDurabilityNonPerturbation:
                 durable.close()
 
 
-class TestIOStatsRegistryBacking:
-    def test_shared_registry_aggregates(self):
-        from repro.storage.counters import IOStats
-
-        reg = obs.MetricsRegistry()
-        a = IOStats(registry=reg)
-        b = IOStats(registry=reg)
-        a.disk_reads += 2
-        b.disk_reads += 3
-        # Same registry + prefix => same backing counter.
-        assert reg.counter("io.disk_reads").value == 5
-        assert a.disk_reads == 5
-
-    def test_private_registries_isolated(self):
-        from repro.storage.counters import IOStats
-
-        a, b = IOStats(), IOStats()
-        a.disk_reads += 2
-        assert b.disk_reads == 0
-
-
 class TestProfileCli:
     def run_cli(self, capsys, *args):
         code = main(list(args))

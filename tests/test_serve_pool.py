@@ -265,6 +265,12 @@ class TestWorkerPoolDirect:
                 assert deadline_s + grace_s <= elapsed
                 assert elapsed < deadline_s + grace_s + 3.0
                 assert pool.hung_kills_total == 1
+                # The killed worker leaves the rotation at once: the next
+                # request is refused, never sent to the dead process.
+                assert pool.workers_live == 0
+                with pytest.raises(PoolUnavailable, match="no live workers"):
+                    await pool.execute(_payload(q), Deadline.after(30.0))
+                assert pool.requeues_total == 0
                 wait = Deadline.after(10.0)
                 while (pool.restarts_total < 1
                        or pool.workers_live < pool.size) \
@@ -280,6 +286,28 @@ class TestWorkerPoolDirect:
                 await pool.aclose()
 
         run(scenario())
+        tree.store.close()
+
+    def test_aclose_reaps_a_worker_killed_just_before(self, tmp_path, rng):
+        tree = _durable_tree(tmp_path, rng)
+        spec = TreeSpec.for_tree(tree, buffer_pages=64, generation=1)
+        q = list(region_queries(0.05, 1, seed=10))[0]
+
+        async def scenario():
+            pool = WorkerPool(spec, 1, seed=0, grace_s=0.2)
+            await pool.start()
+            proc = pool._workers[0].proc
+            os.kill(proc.pid, signal.SIGSTOP)
+            with pytest.raises(DeadlineExceeded, match="worker killed"):
+                await pool.execute(_payload(q, budget_s=0.2),
+                                   Deadline.after(0.2))
+            assert pool.snapshot()["workers"][0]["state"] == \
+                WorkerState.KILLED
+            await pool.aclose()
+            return proc
+
+        proc = run(scenario())
+        assert proc.exitcode == -signal.SIGKILL   # reaped by aclose
         tree.store.close()
 
     def test_sigkill_mid_traffic_recovers_to_full_strength(

@@ -112,6 +112,8 @@ class TestResponseCodec:
             decode_response(b"ceci n'est pas une response\n")
         with pytest.raises(ServeError):
             decode_response(b'{"id": 1}\n')  # no ok field
+        with pytest.raises(ServeError):
+            decode_response(b'{"ok": true}\n')  # no id field
 
     def test_unknown_fields_ignored_for_forward_compat(self):
         resp = decode_response(b'{"id": 1, "ok": true, "op": "ping", '
