@@ -25,7 +25,7 @@ import abc
 
 import numpy as np
 
-from ...core.geometry import GeometryError, RectArray
+from ...core.geometry import RectArray
 
 __all__ = ["PackingError", "PackingAlgorithm", "leaf_group_sizes", "ceil_root"]
 
@@ -124,8 +124,3 @@ def validate_permutation(perm: np.ndarray, count: int) -> np.ndarray:
     if not np.array_equal(np.sort(p), np.arange(count)):
         raise PackingError("ordering is not a permutation")
     return p.astype(np.int64)
-
-
-def _require_rects(rects: RectArray) -> None:
-    if not isinstance(rects, RectArray):
-        raise GeometryError("expected a RectArray")

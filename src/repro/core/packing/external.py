@@ -100,11 +100,6 @@ class ExternalRectSorter:
         if len(self._buffer) >= self.chunk_size:
             self._spill()
 
-    def add_many(self, records: Iterable[tuple]) -> None:
-        """Add ``(key, id, lo, hi)`` records in bulk."""
-        for key, data_id, lo, hi in records:
-            self.add(key, data_id, lo, hi)
-
     def __len__(self) -> int:
         return self._count
 

@@ -10,12 +10,13 @@ every earlier layer's answer for that id.
 
 Window and point queries run the base search through the full serving
 hook set (deadlines, quarantine, degraded reads) and add in each
-layer's scanned hits, dropping shadowed ids.  kNN over-fetches from
-the base (``k`` plus the total shadowed-id count bounds how many base
-neighbours can be invalidated), brute-forces the small deltas with the
-same vectorized MINDIST the paged walk uses, and merges by
-``(distance, id)`` — the order the paged kNN walk itself returns, so
-overlay kNN equals a rebuild even under distance ties.
+layer's scanned hits, dropping shadowed ids.  kNN walks the base for
+the ``k`` nearest ids no layer shadows (the walk skips shadowed ids as
+they surface; those ``k`` hold every base id of the final answer),
+brute-forces the small deltas with the same vectorized MINDIST the
+paged walk uses, and merges by ``(distance, id)`` — the order the
+paged kNN walk itself returns, so overlay kNN equals a rebuild even
+under distance ties.
 
 An overlay with no layers hands back the base walk's result untouched:
 it is how read-only servers and pool workers answer through the same
@@ -92,11 +93,9 @@ class OverlaySearcher:
         order — the answer a rebuilt packed tree gives."""
         if not self.layers:
             return knn_detailed(self.searcher, point, k, **hooks)
-        shadowed = self._shadowed()
-        base = knn_detailed(self.searcher, point, k + len(shadowed),
-                            **hooks)
-        merged = [(dist, data_id) for data_id, dist in base.neighbours
-                  if data_id not in shadowed]
+        base = knn_detailed(self.searcher, point, k,
+                            exclude=self._shadowed(), **hooks)
+        merged = [(dist, data_id) for data_id, dist in base.neighbours]
         for index, layer in enumerate(self.layers):
             hidden = self._shadowed_above(index)
             merged.extend((dist, data_id) for data_id, dist

@@ -18,12 +18,15 @@ checkpoint is its worker's done record, published after the run files
 it checksums: a shard is done exactly when that record and its run
 files verify.  Kill anything — worker or orchestrator, any instant —
 and ``resume=True`` re-runs exactly the shards that do not verify.
-Workers that die or stop heartbeating are retried up to
-``max_attempts`` times; a shard that keeps failing raises a typed
-:class:`PoisonShard` (staging kept, ``poison.json`` written) rather
-than ever committing a partial tree.
+``workers`` processes are started once and each runs one shard at a
+time until every shard is verified.  A worker that dies or stops
+heartbeating costs only the shard it holds, which is retried up to
+``max_attempts`` times while a new process takes the worker's place;
+a shard that keeps failing raises a typed :class:`PoisonShard`
+(staging kept, ``poison.json`` written) rather than ever committing a
+partial tree.
 
-**Observability.**  Every worker ships its own
+**Observability.**  Every shard ships its own
 :class:`~repro.obs.metrics.MetricsRegistry` home inside its done
 record; the orchestrator merges them (resumed shards included, so
 resumed builds keep the metrics of work done before the crash) and
@@ -176,6 +179,47 @@ def _failure_reason(staging: StagingDir, shard: int, fallback: str) -> str:
     return f"{fallback}: {tail[-1]}" if tail else fallback
 
 
+class _ShardWorker:
+    """A long-lived worker process, its two pipe ends, and the shard it
+    holds (``None`` while idle)."""
+
+    __slots__ = ("proc", "tasks", "results", "shard", "started_at")
+
+    def __init__(self, proc: Any, tasks: Any, results: Any):
+        self.proc = proc
+        self.tasks = tasks
+        self.results = results
+        self.shard: int | None = None
+        self.started_at = 0.0
+
+    def reported(self) -> bool:
+        """Whether the worker's done message for its shard has arrived."""
+        if not self.results.poll():
+            return False
+        try:
+            self.results.recv()
+        except (EOFError, OSError):
+            return False  # it exited: the pipe reads EOF
+        return True
+
+    def stop(self) -> None:
+        """End the process (an idle one is asked to stop, a busy one is
+        terminated), reap it and close both pipe ends."""
+        if self.shard is None:
+            try:
+                self.tasks.send(None)
+            except OSError:
+                pass  # already gone
+        else:
+            self.proc.terminate()
+        self.proc.join(timeout=2.0)
+        if self.proc.is_alive():  # pragma: no cover
+            self.proc.kill()
+            self.proc.join()
+        self.tasks.close()
+        self.results.close()
+
+
 class _Supervisor:
     """Runs pending shards under process supervision with retries."""
 
@@ -209,6 +253,24 @@ class _Supervisor:
         attempt = self.attempts.get(shard, 0)
         return plan[attempt] if attempt < len(plan) else None
 
+    def _spec(self, shard: int) -> dict:
+        """``run_shard``'s arguments for the shard's next attempt."""
+        start, stop = self.plan.shard_ranges()[shard]
+        return {
+            "staging_path": self.staging.path,
+            "shard": shard,
+            "start": start,
+            "stop": stop,
+            "capacity": self.plan.capacity,
+            "page_size": self.plan.page_size,
+            "ndim": self.plan.ndim,
+            "fingerprint": self.plan.fingerprint,
+            "attempt": self.attempts.get(shard, 0),
+            "heartbeat_s": self.heartbeat_s,
+            "fault": self._fault_for(shard),
+            "throttle_s": self.throttle_s,
+        }
+
     def _record_failure(self, shard: int, reason: str,
                         pending: deque) -> None:
         self.attempts[shard] = self.attempts.get(shard, 0) + 1
@@ -233,20 +295,9 @@ class _Supervisor:
         pending = deque(pending_shards)
         while pending:
             shard = pending.popleft()
-            start, stop = self.plan.shard_ranges()[shard]
             try:
-                record = shard_worker.run_shard(
-                    self.staging.path, shard, start, stop,
-                    capacity=self.plan.capacity,
-                    page_size=self.plan.page_size,
-                    ndim=self.plan.ndim,
-                    fingerprint=self.plan.fingerprint,
-                    attempt=self.attempts.get(shard, 0),
-                    heartbeat_s=self.heartbeat_s,
-                    fault=self._fault_for(shard),
-                    throttle_s=self.throttle_s,
-                    inline=True,
-                )
+                record = shard_worker.run_shard(**self._spec(shard),
+                                                inline=True)
             except shard_worker.InjectedWorkerFault as exc:
                 self._record_failure(shard, str(exc), pending)
                 continue
@@ -259,27 +310,19 @@ class _Supervisor:
 
     # -- subprocess mode -----------------------------------------------------
 
-    def _launch(self, ctx: Any, shard: int) -> Any:
-        start, stop = self.plan.shard_ranges()[shard]
-        spec = {
-            "staging_path": self.staging.path,
-            "shard": shard,
-            "start": start,
-            "stop": stop,
-            "capacity": self.plan.capacity,
-            "page_size": self.plan.page_size,
-            "ndim": self.plan.ndim,
-            "fingerprint": self.plan.fingerprint,
-            "attempt": self.attempts.get(shard, 0),
-            "heartbeat_s": self.heartbeat_s,
-            "fault": self._fault_for(shard),
-            "throttle_s": self.throttle_s,
-        }
-        proc = ctx.Process(target=shard_worker._process_main, args=(spec,),
-                           name=f"repro-shard-{shard}")
+    def _launch(self, ctx: Any) -> _ShardWorker:
+        tasks_in, tasks = ctx.Pipe(duplex=False)
+        results, results_out = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=shard_worker._process_main,
+                           args=(tasks_in, results_out),
+                           name="repro-shard-worker")
         proc.start()
+        # The child holds these ends now: once it exits, a send to it
+        # fails and its result pipe reads EOF.
+        tasks_in.close()
+        results_out.close()
         obs.inc("pipeline.workers_launched")
-        return proc
+        return _ShardWorker(proc, tasks, results)
 
     def _heartbeat_age(self, shard: int, started_at: float) -> float:
         try:
@@ -289,6 +332,29 @@ class _Supervisor:
             mtime = started_at
         return time.monotonic() - max(mtime - self._mtime_skew, started_at)
 
+    def _dispatch(self, ctx: Any, pool: list[_ShardWorker], size: int,
+                  pending: deque) -> None:
+        """While shards wait, bring the pool up to ``size`` workers and
+        hand each idle one the next pending shard."""
+        while pending:
+            if len(pool) < size:
+                pool.append(self._launch(ctx))
+                continue
+            worker = next((w for w in pool if w.shard is None), None)
+            if worker is None:
+                return
+            shard = pending.popleft()
+            try:
+                worker.tasks.send(self._spec(shard))
+            except OSError:
+                # It died while idle: replace it; the shard never left.
+                pending.appendleft(shard)
+                worker.stop()
+                pool.remove(worker)
+                continue
+            worker.shard = shard
+            worker.started_at = time.monotonic()
+
     def run_processes(self, pending_shards: list[int]) -> None:
         method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                   else "spawn")
@@ -297,56 +363,59 @@ class _Supervisor:
         # the monotonic clock.  Calibrate the offset once.
         self._mtime_skew = self.wall_clock() - time.monotonic()
         pending = deque(pending_shards)
-        running: dict[int, tuple] = {}
+        size = min(self.workers, len(pending))
+        pool: list[_ShardWorker] = []
         try:
-            while pending or running:
-                while pending and len(running) < self.workers:
-                    shard = pending.popleft()
-                    running[shard] = (self._launch(ctx, shard),
-                                      time.monotonic())
-                # Wake the moment any worker exits; otherwise after one
-                # poll interval, for the heartbeat and deadline checks.
-                wait([proc.sentinel for proc, _ in running.values()],
+            while True:
+                self._dispatch(ctx, pool, size, pending)
+                busy = [w for w in pool if w.shard is not None]
+                if not busy:
+                    return  # nothing pending: every shard is settled
+                # Wake the moment a worker reports or exits; otherwise
+                # after one poll interval, for the heartbeat checks.
+                wait([w.results for w in busy]
+                     + [w.proc.sentinel for w in busy],
                      timeout=self.poll_s)
-                for shard, (proc, started_at) in list(running.items()):
-                    if proc.is_alive():
-                        if self._heartbeat_age(shard, started_at) \
-                                > self.deadline_s:
-                            proc.terminate()
-                            proc.join(timeout=2.0)
-                            if proc.is_alive():  # pragma: no cover
-                                proc.kill()
-                                proc.join()
-                            del running[shard]
-                            obs.inc("pipeline.workers_reaped")
-                            self._record_failure(
-                                shard,
-                                f"heartbeat stale for >{self.deadline_s}s",
-                                pending)
-                        continue
-                    proc.join()
-                    del running[shard]
-                    record, reason = _verify_shard_output(
-                        self.staging, shard, self.plan,
-                        _load_done_record(self.staging, shard))
-                    if record is not None:
-                        obs.inc("pipeline.shards_verified")
-                    else:
-                        self._record_failure(
-                            shard,
-                            _failure_reason(
-                                self.staging, shard,
-                                f"worker exit code {proc.exitcode}, "
-                                f"{reason}"),
-                            pending)
+                for worker in busy:
+                    self._settle(worker, pool, pending)
         finally:
-            for shard, (proc, _) in running.items():
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-                    if proc.is_alive():  # pragma: no cover
-                        proc.kill()
-                        proc.join()
+            for worker in pool:
+                worker.stop()
+
+    def _settle(self, worker: _ShardWorker, pool: list[_ShardWorker],
+                pending: deque) -> None:
+        """Verify ``worker``'s shard once it reports or exits, or reap
+        the worker once its heartbeat is stale; a worker that exits or
+        is reaped leaves the pool, and its shard is charged an attempt
+        unless its output verifies."""
+        shard = worker.shard
+        assert shard is not None
+        alive = worker.proc.is_alive()
+        if not worker.reported() and alive:
+            if self._heartbeat_age(shard, worker.started_at) \
+                    <= self.deadline_s:
+                return
+            worker.stop()
+            pool.remove(worker)
+            obs.inc("pipeline.workers_reaped")
+            self._record_failure(
+                shard, f"heartbeat stale for >{self.deadline_s}s", pending)
+            return
+        worker.shard = None
+        if not alive:
+            worker.stop()
+            pool.remove(worker)
+        record, reason = _verify_shard_output(
+            self.staging, shard, self.plan,
+            _load_done_record(self.staging, shard))
+        if record is not None:
+            obs.inc("pipeline.shards_verified")
+        else:
+            if not alive:
+                reason = _failure_reason(
+                    self.staging, shard,
+                    f"worker exit code {worker.proc.exitcode}, {reason}")
+            self._record_failure(shard, reason, pending)
 
 
 def _assemble(staging: StagingDir, plan: BuildPlan, store: PageStore
@@ -430,9 +499,9 @@ def parallel_bulk_load(
         Survives any crash; removed only after a successful build
         (unless ``keep_staging``).
     workers:
-        Concurrent worker processes; ``0`` runs shards inline in this
-        process (fast, still staged and verified — the property tests'
-        mode).
+        Concurrent worker processes, started once and kept until every
+        shard is verified; ``0`` runs shards inline in this process
+        (fast, still staged and verified — the property tests' mode).
     resume:
         Re-open an existing staging directory: the plan is CRC-verified
         against ``rects`` (or trusted from staging when ``rects`` is

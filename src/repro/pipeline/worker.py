@@ -20,7 +20,9 @@ when the done record validates **and** the run files match its CRCs, so
 a worker killed at any instant leaves either nothing or a fully
 verifiable result.  Liveness is a heartbeat file touched by a daemon
 thread; a worker that stops heartbeating past the deadline is
-terminated and retried by the supervisor.
+terminated, and its shard retried, by the supervisor.  A worker
+process (:func:`_process_main`) lives for the whole build and runs the
+shards it is handed one at a time.
 
 Fault injection (for the crash tests and the CI kill matrix) is explicit
 and typed: ``fault="crash"`` tears a half-written tmp file and calls
@@ -32,10 +34,13 @@ without killing the test runner.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
 import traceback
+from multiprocessing.connection import wait
+from typing import Any
 
 import numpy as np
 
@@ -247,24 +252,43 @@ def run_shard(
         heartbeat.stop()
 
 
-def _process_main(spec: dict) -> None:
-    """Subprocess entry point (module-level so ``spawn`` can pickle it)."""
-    staging_path = spec["staging_path"]
-    shard = spec["shard"]
+def _process_main(tasks: Any, results: Any) -> None:
+    """Subprocess entry point (module-level so ``spawn`` can pickle it).
+
+    Runs one shard spec at a time as the orchestrator sends them down
+    ``tasks`` and answers each finished shard with its number on
+    ``results``.  ``None`` ends the loop, and so does the orchestrator
+    going away: the worker waits on the orchestrator's process sentinel
+    beside the task pipe, because under ``fork`` it (and every younger
+    sibling) inherits the orchestrator's end of that pipe, so EOF alone
+    would never come.  A shard that raises leaves its traceback in the
+    shard's error file and ends the process with exit code 1: the
+    orchestrator charges that shard and starts a replacement.  An
+    interrupt between shards ends the worker quietly.
+    """
+    orchestrator = multiprocessing.parent_process()
+    assert orchestrator is not None
     try:
-        run_shard(
-            staging_path, shard, spec["start"], spec["stop"],
-            capacity=spec["capacity"], page_size=spec["page_size"],
-            ndim=spec["ndim"], fingerprint=spec["fingerprint"],
-            attempt=spec["attempt"], heartbeat_s=spec["heartbeat_s"],
-            fault=spec.get("fault"), throttle_s=spec.get("throttle_s", 0.0),
-        )
-    except BaseException:
-        try:
-            atomic_write_bytes(
-                os.path.join(staging_path, error_name(shard)),
-                traceback.format_exc().encode(),
-            )
-        except OSError:  # pragma: no cover - staging dir vanished
-            pass
-        raise SystemExit(1)
+        while orchestrator.sentinel not in wait([tasks,
+                                                 orchestrator.sentinel]):
+            spec = tasks.recv()
+            if spec is None:
+                return
+            try:
+                run_shard(**spec)
+            except BaseException:
+                try:
+                    atomic_write_bytes(
+                        os.path.join(spec["staging_path"],
+                                     error_name(spec["shard"])),
+                        traceback.format_exc().encode(),
+                    )
+                except OSError:  # pragma: no cover - staging dir vanished
+                    pass
+                raise SystemExit(1)
+            results.send(spec["shard"])
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass  # the orchestrator is gone, or the build was interrupted
+    finally:
+        tasks.close()
+        results.close()

@@ -74,6 +74,7 @@ def knn_detailed(
     quarantined: Container[int] | None = None,
     degraded: bool = False,
     on_page_error: Callable[[int, Exception], None] | None = None,
+    exclude: Container[int] | None = None,
 ) -> KnnResult:
     """kNN with the serving-layer hooks of
     :meth:`~repro.rtree.paged.PagedSearcher.search_detailed`.
@@ -82,6 +83,8 @@ def knn_detailed(
     cancellation); ``quarantined`` subtrees are skipped without I/O;
     ``degraded=True`` absorbs page failures as skipped subtrees instead
     of failing the query, reporting each through ``on_page_error``.
+    Data ids in ``exclude`` are dropped as they surface and do not count
+    toward ``k``, so the walk stops at the ``k`` nearest other objects.
 
     Neighbours come back as the ``k`` smallest by ``(distance, id)``:
     ties, even ones straddling ``k``, break on the data id, so every
@@ -114,7 +117,8 @@ def knn_detailed(
         while heap and len(results) < k:
             dist, kind, _, payload, level = heapq.heappop(heap)
             if kind == 1:
-                results.append((payload, dist))
+                if exclude is None or payload not in exclude:
+                    results.append((payload, dist))
                 continue
             if check is not None:
                 check()

@@ -44,10 +44,6 @@ class Entry:
                 "an entry must have exactly one of child / data_id"
             )
 
-    @property
-    def is_leaf_entry(self) -> bool:
-        return self.data_id is not None
-
 
 @dataclass
 class Node:

@@ -747,8 +747,9 @@ class QueryServer:
                 pass
 
     async def aclose(self) -> None:
-        """Stop accepting clients, close every accepted connection and
-        release the search pools.
+        """Stop accepting clients, close every accepted connection,
+        release the search pools and, if a reload or merge cutover
+        opened the serving generation's store, close that store.
 
         Each connection is aborted, so its unsent bytes are dropped and
         its handler ends even when the client has stopped reading; the
@@ -781,6 +782,10 @@ class QueryServer:
         self._executor.shutdown(wait=True)
         if self.ingest is not None:
             self.ingest.close()
+        if self.reloads_total:
+            # A reload or merge cutover swapped in a store this server
+            # opened; the tree it was constructed with is the caller's.
+            self.tree.store.close()
 
     async def __aenter__(self) -> "QueryServer":
         if self._server is None:

@@ -181,3 +181,25 @@ class TestDistanceTies:
             straddling += want[k - 1][1] == want[k][1]
             assert overlay.knn_detailed(point, k).neighbours == want[:k]
         assert straddling >= 10, "the case must tie across k"
+
+
+class TestKnnBaseWalk:
+    def test_shadowed_ids_do_not_lengthen_the_base_walk(self, rng):
+        """500 shadowed ids far from the query point: the overlay's base
+        walk requests exactly the pages a plain k=10 walk requests."""
+        oracle = _random_entries(rng, range(2000))
+        base = _pack(oracle)
+        delta = DeltaTree(NDIM)
+        far = [i for i, (lo, _) in oracle.items() if lo[0] > 0.6][:500]
+        assert len(far) == 500
+        for data_id in far:
+            delta.delete(data_id)
+        point = (0.05, 0.05)
+        plain = base.searcher(64)
+        want = knn_detailed(plain, point, 10)
+        overlay = OverlaySearcher(base.searcher(64), (delta,))
+        got = overlay.knn_detailed(point, 10)
+        assert got.neighbours == want.neighbours
+        requested = [s.stats.buffer_hits + s.stats.buffer_misses
+                     for s in (overlay.searcher, plain)]
+        assert requested[0] == requested[1]

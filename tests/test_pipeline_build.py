@@ -7,17 +7,25 @@ pipeline's output store is **byte-for-byte identical** to a serial
 same height, same bytes in the same page ids.
 """
 
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.geometry import GeometryError, RectArray
 from repro.core.packing import SortTileRecursive
+from repro.obs import runtime as obs
 from repro.pipeline import (
     PipelineError,
     PoisonShard,
     ResumeMismatch,
+    orchestrator,
     parallel_bulk_load,
 )
+from repro.pipeline import worker as shard_worker
 from repro.rtree.bulk import bulk_load
 from repro.storage.page import required_page_size
 from repro.storage.store import MemoryPageStore
@@ -82,6 +90,89 @@ def test_hung_worker_is_reaped_and_retried(tmp_path, rng):
     )
     assert report.retries == {0: 1}
     assert_same_store(tree, _serial(rects))
+
+
+@pytest.mark.parametrize("fault, hooks, launched, reaped, retries", [
+    (None, {}, 2, 0, {}),
+    ({1: ["crash"]}, {}, 3, 0, {1: 1}),
+    ({0: ["hang"]}, {"heartbeat_s": 0.1, "deadline_s": 0.6}, 3, 1, {0: 1}),
+])
+def test_workers_serve_every_shard_and_only_a_lost_one_is_replaced(
+        tmp_path, rng, fault, hooks, launched, reaped, retries):
+    """Two worker processes run all eleven shards; a worker that
+    crashes or is reaped costs one replacement process."""
+    rects = _dataset(rng)
+    with obs.telemetry() as (_, registry):
+        tree, report = parallel_bulk_load(
+            rects, capacity=CAPACITY, workers=2,
+            staging_path=tmp_path / "staging", fault=fault, **hooks,
+        )
+    assert report.plan.shard_count == 11
+    assert registry.counter("pipeline.workers_launched").value == launched
+    assert registry.counter("pipeline.workers_reaped").value == reaped
+    assert report.retries == retries
+    assert_same_store(tree, _serial(rects))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors in /proc")
+@pytest.mark.parametrize("outcome", ["built", "poisoned", "interrupted"])
+def test_no_worker_or_pipe_outlives_the_build(tmp_path, rng, monkeypatch,
+                                              outcome):
+    """Success, PoisonShard and an interrupt mid-build each stop and
+    reap every worker and close both ends of its pipes."""
+    rects = _dataset(rng)
+    kwargs = {"capacity": CAPACITY, "workers": 2,
+              "staging_path": tmp_path / "staging"}
+    fds = len(os.listdir("/proc/self/fd"))
+    if outcome == "built":
+        parallel_bulk_load(rects, **kwargs)
+    elif outcome == "poisoned":
+        with pytest.raises(PoisonShard):
+            parallel_bulk_load(rects, fault={2: ["crash"] * 3}, **kwargs)
+    else:
+        def interrupt(*args, **kw):
+            raise KeyboardInterrupt
+        # The first wait comes after both workers took a shard.
+        monkeypatch.setattr(orchestrator, "wait", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            parallel_bulk_load(rects, **kwargs)
+    assert multiprocessing.active_children() == []
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
+                    or not os.path.isdir("/proc/self"),
+                    reason="forks a worker and reads its state in /proc")
+def test_an_interrupted_idle_worker_exits_quietly(capfd):
+    """Ctrl-C reaches the whole process group; a worker waiting for its
+    next shard ends with exit code 0 and no traceback."""
+    ctx = multiprocessing.get_context("fork")
+    tasks_in, tasks = ctx.Pipe(duplex=False)
+    results, results_out = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=shard_worker._process_main,
+                       args=(tasks_in, results_out))
+    proc.start()
+    tasks_in.close()
+    results_out.close()
+    try:
+        # Sleeping state: it is blocked waiting for a shard.
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            with open(f"/proc/{proc.pid}/stat") as f:
+                if f.read().rsplit(")", 1)[-1].split()[0] == "S":
+                    break
+            time.sleep(0.01)
+        os.kill(proc.pid, signal.SIGINT)
+        proc.join(timeout=10.0)
+        assert proc.exitcode == 0
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        tasks.close()
+        results.close()
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_poison_shard_is_typed_and_resumable(tmp_path, rng):

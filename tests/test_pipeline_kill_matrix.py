@@ -192,3 +192,50 @@ def test_double_kill_double_resume(tmp_path, clean_digest):
         final = _run(_build_argv(target, staging, "--resume"))
         assert final.returncode == 0, final.stderr
     _verify_final("double-kill", target, staging, clean_digest)
+
+
+def _running(pids):
+    """The pids in ``pids`` that are neither gone nor zombies."""
+    running = []
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                state = f.read().rsplit(")", 1)[-1].split()[0]
+        except OSError:
+            continue
+        if state != "Z":
+            running.append(pid)
+    return running
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
+                         ids=["SIGTERM", "SIGKILL"])
+def test_workers_exit_when_the_orchestrator_alone_dies(tmp_path, sig):
+    """An orchestrator killed without its process group (so without
+    reaching its cleanup) leaves no worker waiting for a next shard."""
+    proc = subprocess.Popen(
+        _build_argv(tmp_path / "tree.rt", tmp_path / "staging",
+                    "--throttle-s", "0.4"),
+        env=_env(), cwd=REPO, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        workers = []
+        deadline = time.monotonic() + 20.0
+        while len(workers) < 2 and time.monotonic() < deadline:
+            workers = _child_pids(proc.pid)
+            time.sleep(0.05)
+        assert len(workers) == 2
+        os.kill(proc.pid, sig)
+        proc.wait(timeout=30)
+        # Each worker finishes the throttled shard it holds, then sees
+        # that its orchestrator is gone.
+        deadline = time.monotonic() + 10.0
+        while _running(workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _running(workers) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

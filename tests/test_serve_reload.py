@@ -17,7 +17,7 @@ from repro.core.geometry import Rect
 from repro.queries import region_queries
 from repro.rtree.paged import PagedRTree
 from repro.serve import QueryClient, QueryServer, ReloadRejected, Request
-from repro.storage import FilePageStore
+from repro.storage import FilePageStore, StoreError
 from repro.storage.faults import corrupt_pages
 from repro.storage.integrity import TRAILER_SIZE
 from repro.storage.page import required_page_size
@@ -62,6 +62,7 @@ class TestReloadRejections:
                         "reload_enabled"] is False
 
         run(scenario())
+        tree.store.close()
 
     def test_missing_path_and_missing_file(self, tmp_path, rng):
         _, tree, _ = _durable_tree(tmp_path, rng, "gen1.rt")
@@ -79,6 +80,7 @@ class TestReloadRejections:
                     assert health["generation"]["reloads"] == 0
 
         run(scenario())
+        tree.store.close()
 
     def test_rejects_non_durable_file(self, tmp_path, rng):
         _, tree, _ = _durable_tree(tmp_path, rng, "gen1.rt")
@@ -98,6 +100,7 @@ class TestReloadRejections:
                         "active"] == 1
 
         run(scenario())
+        tree.store.close()
 
     def test_rejects_corrupt_file_and_keeps_serving(self, tmp_path, rng):
         rects, tree, _ = _durable_tree(tmp_path, rng, "gen1.rt")
@@ -126,6 +129,7 @@ class TestReloadRejections:
                     assert health["generation"]["reloads"] == 0
 
         run(scenario())
+        tree.store.close()
 
 
     def test_structural_rejection_names_its_cause(self, tmp_path, rng):
@@ -157,6 +161,7 @@ class TestReloadRejections:
                         "active"] == 1
 
         run(scenario())
+        tree.store.close()
 
 
 class TestReloadCutover:
@@ -253,6 +258,23 @@ class TestReloadCutover:
         assert wrong == []
         assert server.generation == 4  # three successful swaps
         assert server.reloads_total == 3
+
+    def test_aclose_closes_the_store_a_reload_opened(self, tmp_path, rng):
+        _, tree, _ = _durable_tree(tmp_path, rng, "gen1.rt")
+        _, tree2, path2 = _durable_tree(tmp_path, rng, "gen2.rt", n=900,
+                                        offset=10.0)
+        tree2.store.close()
+
+        async def scenario():
+            async with QueryServer(tree, allow_reload=True) as server:
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as client:
+                    await client.reload(str(path2))
+            return server.tree
+
+        reloaded = run(scenario())
+        with pytest.raises(StoreError, match="closed"):
+            reloaded.store.read_page(reloaded.root_page)
 
     def test_reload_same_file_is_a_fresh_generation(self, tmp_path, rng):
         _, tree, path = _durable_tree(tmp_path, rng, "gen1.rt")
