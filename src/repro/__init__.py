@@ -44,7 +44,6 @@ from .core.packing.registry import algorithm_names, make_algorithm
 from .core.packing.str_ import SortTileRecursive
 from .rtree.bulk import bulk_load, paged_from_dynamic
 from .rtree.costmodel import expected_node_accesses
-from .rtree.hilbert_rtree import HilbertRTree
 from .rtree.knn import knn
 from .rtree.paged import PagedRTree, PagedSearcher
 from .rtree.rstar import RStarTree
@@ -75,7 +74,6 @@ __all__ = [
     "PagedSearcher",
     "RTree",
     "RStarTree",
-    "HilbertRTree",
     "knn",
     "expected_node_accesses",
     "StripedPageStore",

@@ -627,7 +627,9 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
     over an existing plan (``PipelineError``), a missing, corrupt or
     foreign plan on ``--resume`` (``ResumeMismatch``) or an unusable
     staged input (``StagingError``); 2 a shard was poisoned
-    (``PoisonShard``).  Staging is kept either way, every failure
+    (``PoisonShard``); 130 (128 + SIGINT) the build was interrupted
+    (Ctrl-C) before the tree was published, and ``--resume`` finishes
+    it once a plan was staged.  Staging is kept either way, every failure
     prints one ``build failed: ...`` line on stderr, and the target
     file is replaced only by a committed tree: the build writes
     ``<target>.partial`` and publishes it once it is done, so a refused
@@ -674,16 +676,29 @@ def _run_build(args: argparse.Namespace, argv: list[str]) -> int:
             throttle_s=args.throttle_s,
             keep_staging=True,
         )
+        store.close()
+        # Publish before dropping the staging: a kill in between leaves
+        # a staging directory that --resume completes from.
+        publish_file(partial, args.target)
     except (PipelineError, ResumeMismatch, StagingError) as exc:
         store.close()
         os.remove(partial)
         print(f"build failed: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, PoisonShard) else 1
-    store.close()
-    # Publish before dropping the staging: a kill in between leaves a
-    # staging directory that --resume completes from.  A journal
-    # sidecar an older version left beside the old tree is dead weight.
-    publish_file(partial, args.target)
+    except KeyboardInterrupt:
+        store.close()
+        if os.path.exists(partial):
+            os.remove(partial)
+        # Only a staged plan can be resumed.
+        if os.path.exists(os.path.join(staging, "plan.json")):
+            hint = (f"staging kept at {staging}, rerun with --resume to "
+                    "finish the build")
+        else:
+            hint = "no plan was staged yet, rerun the build without --resume"
+        print(f"build failed: interrupted; {hint}", file=sys.stderr)
+        return 130
+    # A journal sidecar an older version left beside the old tree is
+    # dead weight.
     legacy_journal = journal_path(args.target)
     if os.path.exists(legacy_journal):
         os.remove(legacy_journal)

@@ -81,6 +81,10 @@ __all__ = [
     "parallel_bulk_load",
 ]
 
+#: Seconds the supervisor waits for a worker to report or exit before
+#: it checks the busy workers' heartbeats again.
+POLL_S = 0.05
+
 
 class PipelineError(RTreeError):
     """Raised for unusable pipeline configuration or corrupted staging."""
@@ -226,7 +230,6 @@ class _Supervisor:
     def __init__(self, staging: StagingDir, plan: BuildPlan, *,
                  workers: int, heartbeat_s: float, deadline_s: float,
                  max_attempts: int, fault: dict | None, throttle_s: float,
-                 poll_s: float,
                  wall_clock: Callable[[], float] = time.time):
         # Injected wall clock: heartbeat files carry wall-clock mtimes,
         # so calibrating against the monotonic clock needs one wall
@@ -240,7 +243,6 @@ class _Supervisor:
         self.max_attempts = max_attempts
         self.fault = fault or {}
         self.throttle_s = throttle_s
-        self.poll_s = poll_s
         self.retries: dict[int, int] = {}
         self.attempts: dict[int, int] = {}
 
@@ -375,7 +377,7 @@ class _Supervisor:
                 # after one poll interval, for the heartbeat checks.
                 wait([w.results for w in busy]
                      + [w.proc.sentinel for w in busy],
-                     timeout=self.poll_s)
+                     timeout=POLL_S)
                 for worker in busy:
                     self._settle(worker, pool, pending)
         finally:
@@ -488,7 +490,6 @@ def parallel_bulk_load(
     fault: dict | None = None,
     throttle_s: float = 0.0,
     keep_staging: bool = False,
-    poll_s: float = 0.05,
 ) -> tuple[PagedRTree, PipelineReport]:
     """Bulk-load an R-tree with sharded workers, resumable per shard.
 
@@ -605,7 +606,7 @@ def parallel_bulk_load(
             staging, plan, workers=workers,
             heartbeat_s=heartbeat_s, deadline_s=deadline_s,
             max_attempts=max_attempts, fault=fault,
-            throttle_s=throttle_s, poll_s=poll_s,
+            throttle_s=throttle_s,
         )
         with obs.span("pipeline.shards", pending=len(pending),
                       workers=workers):

@@ -6,7 +6,6 @@ from .costmodel import (
     expected_accesses_quadratic,
     expected_node_accesses,
 )
-from .hilbert_rtree import HilbertRTree
 from .knn import knn
 from .node import Entry, Node, RTreeError
 from .paged import PagedRTree, PagedSearcher, SearchResult
@@ -18,7 +17,6 @@ from .validate import ValidationError, validate_dynamic, validate_paged
 
 __all__ = [
     "RTree",
-    "HilbertRTree",
     "RStarTree",
     "RStarSplit",
     "Entry",

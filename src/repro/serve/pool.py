@@ -86,6 +86,12 @@ from .supervisor import FlapDetector, RestartBackoff, WorkerState
 
 __all__ = ["TreeSpec", "WorkerPool", "PoolUnavailable", "worker_main"]
 
+#: Seconds a worker must stay ready before its restart backoff resets;
+#: one that dies sooner restarts after a longer backoff.
+PROBATION_S = 2.0
+#: Seconds :meth:`WorkerPool.start` waits for workers to report ready.
+START_TIMEOUT_S = 15.0
+
 
 class PoolUnavailable(Exception):
     """The pool cannot take this request (not started, draining for a
@@ -347,8 +353,6 @@ class WorkerPool:
         size: int,
         *,
         grace_s: float = 1.0,
-        probation_s: float = 2.0,
-        start_timeout_s: float = 15.0,
         backoff_base_s: float = 0.05,
         backoff_max_s: float = 2.0,
         flap_threshold: int = 6,
@@ -361,8 +365,6 @@ class WorkerPool:
         self.spec = spec
         self.size = size
         self.grace_s = grace_s
-        self.probation_s = probation_s
-        self.start_timeout_s = start_timeout_s
         self.clock = clock
         self.flap = FlapDetector(flap_threshold, flap_window_s)
         self._workers = [
@@ -401,7 +403,7 @@ class WorkerPool:
         self._started = True
         for worker in self._workers:
             self._spawn(worker)
-        deadline = Deadline.after(self.start_timeout_s, self.clock)
+        deadline = Deadline.after(START_TIMEOUT_S, self.clock)
         while not deadline.expired():
             if self.workers_live == self.size:
                 break
@@ -410,7 +412,7 @@ class WorkerPool:
         if live == 0:
             await self.aclose()
             raise PoolUnavailable(
-                f"no worker became ready within {self.start_timeout_s}s")
+                f"no worker became ready within {START_TIMEOUT_S}s")
         self._set_gauges()
         return live
 
@@ -527,7 +529,7 @@ class WorkerPool:
             self._set_gauges()
             if self._loop is not None:
                 pid = worker.pid
-                self._loop.call_later(self.probation_s,
+                self._loop.call_later(PROBATION_S,
                                       self._end_probation, index, pid)
             return
         if kind == "result" or kind == "error":

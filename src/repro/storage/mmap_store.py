@@ -81,16 +81,13 @@ class MmapPageStore(PageStore):
     page_size:
         Required for plain files; optional for durable files (when
         given it must match the superblock).
-    verify:
-        Verify checksummed pages' CRC trailers on first touch
-        (default).  ``False`` trusts the file — for oracles that
-        already fsck'd it.
+
+    A checksummed page's CRC trailer is verified on its first touch.
     """
 
     def __init__(self, path: str | os.PathLike[str],
                  page_size: int | None = None,
                  stats: IOStats | None = None, *,
-                 verify: bool = True,
                  retry: "RetryPolicy | None" = None,
                  breaker: "CircuitBreaker | None" = None) -> None:
         self._path = os.fspath(path)
@@ -134,7 +131,6 @@ class MmapPageStore(PageStore):
                 f"fsck) before serving read-only"
             )
         self.checksums = bool(self._flags & FLAG_CHECKSUMS)
-        self._verify = verify and self.checksums
         #: Page ids whose trailer has been verified (first-touch cache).
         self._verified: set[int] = set()
         #: Decoded nodes by page id, viewing the mapping (see read_node).
@@ -242,7 +238,7 @@ class MmapPageStore(PageStore):
         data = self._image(page_id)
         if not self.checksums:
             return data
-        if self._verify and page_id not in self._verified:
+        if page_id not in self._verified:
             try:
                 data = verify_trailer(data, page_id, source=self._path)
             except ChecksumError:
@@ -250,9 +246,8 @@ class MmapPageStore(PageStore):
                 raise
             self._verified.add(page_id)
             return data
-        # Already verified (or verification disabled): return the exact
-        # bytes a FilePageStore read would — payload with the trailer
-        # region zeroed back out.
+        # Already verified: return the exact bytes a FilePageStore read
+        # would — payload with the trailer region zeroed back out.
         return data[:self.page_size - TRAILER_SIZE] + b"\x00" * TRAILER_SIZE
 
     def _write(self, page_id: int, data: bytes) -> None:

@@ -79,3 +79,36 @@ def test_fresh_build_over_existing_staging_is_a_one_line_refusal(tmp_path):
     _assert_refused(proc, "already exists", "--resume")
     assert (tmp_path / "staging" / "plan.json").read_text() == "{}"
     _assert_tree_kept(tmp_path, before)
+
+
+def test_interrupt_before_a_plan_is_staged_says_rerun_fresh(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    """Ctrl-C while the input is still being staged leaves nothing to
+    resume: the one line says to rerun without --resume, and that
+    rerun builds over the half-staged directory."""
+    from repro import cli, pipeline
+
+    def interrupted(*args, staging_path, **kwargs):
+        os.makedirs(staging_path)
+        with open(os.path.join(staging_path, "input.lo.npy"), "wb") as f:
+            f.write(b"torn")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "parallel_bulk_load", interrupted)
+    # An interrupt that escaped would stop the whole test session.
+    try:
+        code = cli.main(["build", str(tmp_path / "tree.rt"),
+                         "--size", "500", "--capacity", "20",
+                         "--workers", "0", "--staging",
+                         str(tmp_path / "staging"), "--no-manifest"])
+    except KeyboardInterrupt:
+        pytest.fail("repro build let the interrupt escape")
+    assert code == 130
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "build failed: interrupted; no plan was staged yet, rerun the "
+        "build without --resume"]
+    assert not (tmp_path / "tree.rt.partial").exists()
+    monkeypatch.undo()
+    proc = _build(tmp_path)
+    assert proc.returncode == 0, proc.stderr

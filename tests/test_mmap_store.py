@@ -139,17 +139,6 @@ class TestFirstTouchVerification:
         assert mapped.verified_pages == 2
         mapped.close()
 
-    def test_verify_false_trusts_the_file(self, tmp_path, rng):
-        store, tree = _build(rng, tmp_path / "tree.pages")
-        victim = tree.level_pages(0)[0]
-        corrupt_pages(store, [(victim, PAGE_SIZE * 4 + 3)])
-        store.close()
-        mapped = MmapPageStore(tmp_path / "tree.pages", verify=False)
-        mapped.read_page(victim)  # no raise: caller already fsck'd
-        assert mapped.verified_pages == 0
-        assert mapped.checksum_failures == 0
-        mapped.close()
-
 
 class TestReadOnlyByConstruction:
     def test_allocate_and_write_raise(self, tmp_path, rng):

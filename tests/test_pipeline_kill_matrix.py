@@ -3,10 +3,11 @@
 These tests drive the actual ``python -m repro build`` CLI in
 subprocesses — not in-process fault injection — and deliver real
 SIGKILLs to worker processes and to the whole orchestrator process
-group.  The bar is the same as everywhere else in this suite: after any
-number of kills and resumes the durable output file is **byte-for-byte
-identical** (whole-file SHA-256, superblock included) to a build that
-was never interrupted, and ``repro fsck`` finds it clean.
+group, and a SIGINT (Ctrl-C) to the whole group.  The bar is the same
+as everywhere else in this suite: after any number of kills and
+resumes the durable output file is **byte-for-byte identical**
+(whole-file SHA-256, superblock included) to a build that was never
+interrupted, and ``repro fsck`` finds it clean.
 
 The CI kill-matrix job runs this file on every push; locally it takes a
 few seconds because builds are throttled to open a kill window.
@@ -110,31 +111,65 @@ def clean_digest(tmp_path_factory):
     return _sha256(target)
 
 
-def test_orchestrator_sigkill_then_resume(tmp_path, clean_digest):
+def _signal_group_then_resume(tmp_path, clean_digest, sig, name):
+    """Signal a throttled build's whole process group, resume, verify.
+
+    When the signal landed before the build finished (its staging
+    directory was kept), returns the signalled run's exit code, its
+    stderr and whether it left ``<target>.partial`` behind; else
+    ``None``.
+    """
     target = tmp_path / "tree.rt"
     staging = tmp_path / "staging"
-    # Throttled workers open a multi-second window; kill the whole
-    # process group (orchestrator + workers) inside it, like a machine
-    # going away.
+    # Throttled workers open a multi-second window; signal the whole
+    # process group (orchestrator + workers) inside it.
     proc = subprocess.Popen(
         _build_argv(target, staging, "--throttle-s", "0.4"),
         env=_env(), cwd=REPO, start_new_session=True,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     time.sleep(1.5)
-    killed = proc.poll() is None
-    if killed:
-        os.killpg(proc.pid, signal.SIGKILL)
-    proc.wait(timeout=30)
+    signalled = proc.poll() is None
+    if signalled:
+        os.killpg(proc.pid, sig)
+    _, err = proc.communicate(timeout=30)
 
-    if staging.exists():  # the kill landed before completion
+    interrupted = None
+    if staging.exists():  # the signal landed before completion
+        partial = target.with_name(target.name + ".partial")
+        interrupted = proc.returncode, err, partial.exists()
         resumed = _run(_build_argv(target, staging, "--resume"))
         assert resumed.returncode == 0, resumed.stderr
         assert not staging.exists()  # consumed by the resume
     else:
-        assert not killed  # build won the race; nothing to resume
+        assert not signalled  # build won the race; nothing to resume
 
-    _verify_final("orchestrator-sigkill", target, staging, clean_digest)
+    _verify_final(name, target, staging, clean_digest)
+    return interrupted
+
+
+def test_orchestrator_sigkill_then_resume(tmp_path, clean_digest):
+    # Like a machine going away.
+    _signal_group_then_resume(tmp_path, clean_digest, signal.SIGKILL,
+                              "orchestrator-sigkill")
+
+
+def test_orchestrator_sigint_then_resume(tmp_path, clean_digest):
+    """Ctrl-C at the terminal: one line naming the kept staging
+    directory and --resume, no traceback, exit code 128 + SIGINT."""
+    interrupted = _signal_group_then_resume(
+        tmp_path, clean_digest, signal.SIGINT, "orchestrator-sigint")
+    if interrupted is not None:
+        returncode, err, partial_left = interrupted
+        assert "Traceback" not in err, err
+        failed = [line for line in err.splitlines()
+                  if line.startswith("build failed:")]
+        assert len(failed) == 1, err
+        assert "interrupted" in failed[0]
+        assert str(tmp_path / "staging") in failed[0]
+        assert "--resume" in failed[0]
+        assert returncode == 130, err
+        assert not partial_left
 
 
 def test_worker_sigkills_are_absorbed_without_resume(tmp_path,
