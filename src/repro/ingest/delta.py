@@ -24,7 +24,7 @@ move on error paths (RL003 counter purity applies to this package).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
@@ -155,7 +155,7 @@ class DeltaTree:
         return self._ids[:n][hit].tolist()
 
     def knn_candidates(self, point: Sequence[float],
-                       exclude: set[int] | frozenset[int] | None = None
+                       exclude: AbstractSet[int] | None = None
                        ) -> list[tuple[int, float]]:
         """``(id, distance)`` for every live entry (minus ``exclude``),
         by vectorized MINDIST over the live rows."""

@@ -31,7 +31,7 @@ answer — it never fabricates.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Sequence
+from typing import AbstractSet, Any, Sequence
 
 import numpy as np
 
@@ -41,6 +41,24 @@ from ..rtree.paged import PagedSearcher, SearchResult
 from .delta import DeltaTree
 
 __all__ = ["OverlaySearcher"]
+
+
+def _overridden_by(layers: Sequence[DeltaTree]) -> AbstractSet[int]:
+    """The ids ``layers`` override, for membership tests only.
+
+    One layer, the common case outside a merge, hands back its own set
+    rather than a copy: a read and ``apply`` both hold the server's
+    search lock, so the set cannot change under the read.  Only two or
+    more layers need a union.
+    """
+    if not layers:
+        return frozenset()
+    if len(layers) == 1:
+        return layers[0].overridden
+    out: set[int] = set()
+    for layer in layers:
+        out |= layer.overridden
+    return out
 
 
 class OverlaySearcher:
@@ -57,19 +75,13 @@ class OverlaySearcher:
         self.searcher = searcher
         self.layers = tuple(layers)
 
-    def _shadowed(self) -> set[int]:
+    def _shadowed(self) -> AbstractSet[int]:
         """Ids overridden by any layer (hidden from the base answer)."""
-        out: set[int] = set()
-        for layer in self.layers:
-            out |= layer.overridden
-        return out
+        return _overridden_by(self.layers)
 
-    def _shadowed_above(self, index: int) -> set[int]:
+    def _shadowed_above(self, index: int) -> AbstractSet[int]:
         """Ids overridden by layers *after* ``index``."""
-        out: set[int] = set()
-        for layer in self.layers[index + 1:]:
-            out |= layer.overridden
-        return out
+        return _overridden_by(self.layers[index + 1:])
 
     # -- window / point ----------------------------------------------------
 

@@ -54,6 +54,9 @@ class IngestState:
         self.writes_acked = 0
         self.writes_shed = 0
         self.merges_total = 0
+        #: Memory of the last merge's child process (``peak_rss_mb``,
+        #: ``private_dirty_mb``); the server sets it.
+        self.merge_child: dict[str, float] | None = None
 
     @classmethod
     def open(cls, tree_path: str | os.PathLike[str], *, ndim: int,
@@ -186,6 +189,7 @@ class IngestState:
             "merge": {
                 "merging": self.merging,
                 "merges_total": self.merges_total,
+                "child": self.merge_child,
             },
             "writes": {
                 "acked": self.writes_acked,

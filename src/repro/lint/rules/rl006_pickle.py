@@ -10,10 +10,12 @@ that only appear on macOS/Windows), and module-level ``lambda``s
 (unpicklable the moment one lands in a spec or is handed to
 ``Process(target=...)``).
 
-Flagged, for ``pipeline/worker.py`` and the serving pool's
+Flagged, for ``pipeline/worker.py`` and the serving layer's
 spawn-crossing modules (``serve/pool.py``, ``serve/supervisor.py``,
 whose ``worker_main`` and :class:`TreeSpec` are shipped to child
-processes the same way): module-level assignments whose value is a
+processes the same way, and ``serve/child.py``, whose entry point runs
+each merge re-pack and cutover ``fsck``): module-level assignments
+whose value is a
 mutable container (list/dict/set/bytearray literal or constructor,
 ``collections`` mutables), and ``lambda`` expressions in module-level
 statements.
@@ -59,7 +61,8 @@ class WorkerPicklability(Rule):
     invariant = ("spawn-crossing worker modules hold no module-global "
                  "mutable state and nothing unpicklable under spawn")
     path_fragments = ("repro/pipeline/worker.py", "repro/serve/pool.py",
-                      "repro/serve/query.py", "repro/serve/supervisor.py")
+                      "repro/serve/query.py", "repro/serve/supervisor.py",
+                      "repro/serve/child.py")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for stmt in ctx.tree.body:

@@ -154,6 +154,16 @@ class Tracer:
             self._stack.pop()
             self.spans.append(record)
 
+    def adopt(self, spans: Iterable[Span]) -> None:
+        """Add spans another process finished (a forked child), keeping
+        their start order but numbering them with this tracer's counter,
+        so their indices never collide with this tracer's own."""
+        adopted = list(spans)
+        for record in sorted(adopted, key=lambda s: s.index):
+            record.index = self._next_index
+            self._next_index += 1
+        self.spans.extend(adopted)
+
     # -- introspection -------------------------------------------------------
 
     def __len__(self) -> int:

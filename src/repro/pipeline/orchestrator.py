@@ -268,7 +268,6 @@ class _Supervisor:
             "ndim": self.plan.ndim,
             "fingerprint": self.plan.fingerprint,
             "attempt": self.attempts.get(shard, 0),
-            "heartbeat_s": self.heartbeat_s,
             "fault": self._fault_for(shard),
             "throttle_s": self.throttle_s,
         }
@@ -316,7 +315,7 @@ class _Supervisor:
         tasks_in, tasks = ctx.Pipe(duplex=False)
         results, results_out = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=shard_worker._process_main,
-                           args=(tasks_in, results_out),
+                           args=(tasks_in, results_out, self.heartbeat_s),
                            name="repro-shard-worker")
         proc.start()
         # The child holds these ends now: once it exits, a send to it

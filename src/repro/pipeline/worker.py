@@ -18,11 +18,12 @@ The done record is published *last* and is the shard's only checkpoint:
 the orchestrator (and any later resume) treats a shard as complete only
 when the done record validates **and** the run files match its CRCs, so
 a worker killed at any instant leaves either nothing or a fully
-verifiable result.  Liveness is a heartbeat file touched by a daemon
-thread; a worker that stops heartbeating past the deadline is
-terminated, and its shard retried, by the supervisor.  A worker
-process (:func:`_process_main`) lives for the whole build and runs the
-shards it is handed one at a time.
+verifiable result.  Liveness is one heartbeat file per shard, touched
+while the shard runs by the worker process's one daemon thread; a
+worker that stops heartbeating past the deadline is terminated, and
+its shard retried, by the supervisor.  A worker process
+(:func:`_process_main`) lives for the whole build and runs the shards
+it is handed one at a time.
 
 Fault injection (for the crash tests and the CI kill matrix) is explicit
 and typed: ``fault="crash"`` tears a half-written tmp file and calls
@@ -102,34 +103,45 @@ def error_name(shard: int) -> str:
     return f"shard-{shard:04d}.error.txt"
 
 
-class _Heartbeat(threading.Thread):
-    """Touches a file on an interval; the supervisor watches its mtime."""
+def _touch(path: str) -> None:
+    with open(path, "a"):
+        pass
+    os.utime(path, None)
 
-    def __init__(self, path: str, interval_s: float):
+
+class _Heartbeat(threading.Thread):
+    """Touches the running shard's heartbeat file on an interval; the
+    supervisor watches its mtime.  A worker process starts one and
+    points it at each shard's file in turn (at none between shards)."""
+
+    def __init__(self, interval_s: float):
         super().__init__(name="shard-heartbeat", daemon=True)
-        self.path = path
+        self.path: str | None = None
         self.interval_s = max(interval_s, 0.05)
         self._stop = threading.Event()
 
-    def touch(self) -> None:
-        with open(self.path, "a"):
-            pass
-        os.utime(self.path, None)
+    def point_at(self, path: str | None) -> None:
+        """Beat for ``path`` from now on (touched at once), or idle."""
+        if path is not None:
+            _touch(path)
+        self.path = path
 
     def run(self) -> None:
-        while not self._stop.is_set():
+        while not self._stop.wait(self.interval_s):
+            path = self.path
+            if path is None:
+                continue
             try:
-                self.touch()
+                _touch(path)
             except OSError:  # pragma: no cover - staging dir vanished
-                return
-            self._stop.wait(self.interval_s)
+                continue
 
     def stop(self) -> None:
         self._stop.set()
 
 
 def _fire_fault(fault: str | None, staging_path: str, shard: int,
-                heartbeat: _Heartbeat, payload: bytes, *,
+                heartbeat: _Heartbeat | None, payload: bytes, *,
                 inline: bool) -> None:
     if not fault:
         return
@@ -144,7 +156,8 @@ def _fire_fault(fault: str | None, staging_path: str, shard: int,
             f.write(payload[: max(1, len(payload) // 2)])
         os._exit(3)
     if fault == "hang":
-        heartbeat.stop()
+        if heartbeat is not None:
+            heartbeat.stop()
         time.sleep(3600.0)
     raise InjectedWorkerFault(f"shard {shard}: unknown fault {fault!r}")
 
@@ -160,18 +173,22 @@ def run_shard(
     ndim: int,
     fingerprint: int,
     attempt: int = 0,
-    heartbeat_s: float = 1.0,
+    heartbeat: _Heartbeat | None = None,
     fault: str | None = None,
     throttle_s: float = 0.0,
     inline: bool = False,
 ) -> dict:
-    """Order, encode and publish one shard; returns the done record."""
+    """Order, encode and publish one shard; returns the done record.
+
+    A worker process passes its ``heartbeat`` thread, which beats for
+    this shard until it returns; without one (inline mode) the shard's
+    heartbeat file is touched once."""
     metrics = MetricsRegistry()
-    heartbeat = _Heartbeat(os.path.join(staging_path, heartbeat_name(shard)),
-                           heartbeat_s)
-    heartbeat.touch()
-    if not inline:
-        heartbeat.start()
+    beat_path = os.path.join(staging_path, heartbeat_name(shard))
+    if heartbeat is None:
+        _touch(beat_path)
+    else:
+        heartbeat.point_at(beat_path)
     try:
         los, his, ids, xorder = load_staged_input(staging_path)
         idx = np.asarray(xorder[start:stop], dtype=np.int64)
@@ -249,25 +266,30 @@ def run_shard(
                           record)
         return record
     finally:
-        heartbeat.stop()
+        if heartbeat is not None:
+            heartbeat.point_at(None)
 
 
-def _process_main(tasks: Any, results: Any) -> None:
+def _process_main(tasks: Any, results: Any,
+                  heartbeat_s: float = 1.0) -> None:
     """Subprocess entry point (module-level so ``spawn`` can pickle it).
 
     Runs one shard spec at a time as the orchestrator sends them down
     ``tasks`` and answers each finished shard with its number on
-    ``results``.  ``None`` ends the loop, and so does the orchestrator
-    going away: the worker waits on the orchestrator's process sentinel
-    beside the task pipe, because under ``fork`` it (and every younger
-    sibling) inherits the orchestrator's end of that pipe, so EOF alone
-    would never come.  A shard that raises leaves its traceback in the
-    shard's error file and ends the process with exit code 1: the
-    orchestrator charges that shard and starts a replacement.  An
-    interrupt between shards ends the worker quietly.
+    ``results``; one heartbeat thread, beating every ``heartbeat_s``,
+    serves all of them.  ``None`` ends the loop, and so does the
+    orchestrator going away: the worker waits on the orchestrator's
+    process sentinel beside the task pipe, because under ``fork`` it
+    (and every younger sibling) inherits the orchestrator's end of that
+    pipe, so EOF alone would never come.  A shard that raises leaves its
+    traceback in the shard's error file and ends the process with exit
+    code 1: the orchestrator charges that shard and starts a
+    replacement.  An interrupt between shards ends the worker quietly.
     """
     orchestrator = multiprocessing.parent_process()
     assert orchestrator is not None
+    heartbeat = _Heartbeat(heartbeat_s)
+    heartbeat.start()
     try:
         while orchestrator.sentinel not in wait([tasks,
                                                  orchestrator.sentinel]):
@@ -275,7 +297,7 @@ def _process_main(tasks: Any, results: Any) -> None:
             if spec is None:
                 return
             try:
-                run_shard(**spec)
+                run_shard(**spec, heartbeat=heartbeat)
             except BaseException:
                 try:
                     atomic_write_bytes(
@@ -290,5 +312,6 @@ def _process_main(tasks: Any, results: Any) -> None:
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # the orchestrator is gone, or the build was interrupted
     finally:
+        heartbeat.stop()
         tasks.close()
         results.close()

@@ -39,9 +39,9 @@ store misbehaves:
   from-scratch rebuild would answer.  A bounded WAL sheds writes with
   typed ``IngestOverloaded`` errors before logging anything, and the
   ``merge`` admin op seals the active segment, re-packs the sealed ops
-  into a fresh generation in the background (kill-resumable at every
-  write boundary), and cuts over through the same zero-downtime swap
-  ``reload`` uses.
+  into a fresh generation in a forked child process (kill-resumable at
+  every write boundary), and cuts over through the same zero-downtime
+  swap ``reload`` uses.
 
 * started with ``workers=N``, queries execute in a supervised pool of
   ``N`` crash-isolated worker *processes* (:mod:`repro.serve.pool`),
@@ -59,7 +59,10 @@ alike.
 Concurrency model: asyncio handles sockets and admission; searches run
 on a small thread pool under one lock (the shared file handle and
 buffer pool are single-accessor) or on the worker-process pool, so
-queueing, shedding and deadline expiry overlap real work.
+queueing, shedding and deadline expiry overlap real work.  A merge's
+re-pack and every cutover's ``fsck`` run in a forked child
+(:mod:`repro.serve.child`) that an executor thread waits on without
+holding the GIL, so they never compete with reads and writes for it.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ from ..storage.integrity import IntegrityError, looks_like_superblock
 from ..storage.page import PageFormatError
 from ..storage.store import StoreError
 from .admission import AdmissionController
+from .child import run_in_child
 from .deadline import Deadline
 from .health import healthz_payload, readyz_payload, stats_payload
 from .pool import PoolUnavailable, TreeSpec, WorkerPool
@@ -385,14 +389,16 @@ class QueryServer:
         Overlap-safe by construction: the seal happens under the write
         lock (no append races the segment roll) and the freeze under
         the search lock (no reader sees a half-frozen layer stack);
-        the re-pack itself runs without any lock while queries keep
-        answering over ``base ∪ frozen ∪ live``; the cutover reuses
-        the reload swap.  A failure before the pointer commit leaves
-        the old generation serving and raises typed ``MergeFailed``; a
-        cutover that fails after it (say ``ReloadRejected``) also keeps
-        the old generation serving, with the frozen layers folded back
-        so the next merge can run — and cut over to the committed
-        generation even when nothing new was sealed.
+        the re-pack itself runs in a forked child, without any lock,
+        while queries keep answering over ``base ∪ frozen ∪ live``;
+        the cutover reuses the reload swap.  A failure before the
+        pointer commit (the child's exception, or the child dying
+        under a signal) leaves the old generation serving and raises
+        typed ``MergeFailed``; a cutover that fails after it (say
+        ``ReloadRejected``) also keeps the old generation serving, with
+        the frozen layers folded back so the next merge can run — and
+        cut over to the committed generation even when nothing new was
+        sealed.
         """
         ingest = self.ingest
         if ingest is None:
@@ -445,6 +451,9 @@ class QueryServer:
         cut over to — ``(generation path, drained segment seq, merge
         summary)`` — or ``None`` when there is nothing to do.
 
+        The re-pack, ``merge_segments``, runs in a forked child and
+        the summary carries that child's memory (``child``).
+
         With nothing new sealed, the committed pointer may still name a
         generation this server does not serve: a cutover rejected after
         the pointer commit.  That generation already holds the drained
@@ -454,12 +463,14 @@ class QueryServer:
 
         ingest = self.ingest
         assert ingest is not None
-        report = merge_segments(ingest.tree_path)
+        report, ingest.merge_child = run_in_child(
+            "merge", merge_segments, ingest.tree_path)
         if report is not None:
             return report.path, report.merged_seq, {
                 "ops_applied": report.ops_applied,
                 "segments": report.segments_merged,
                 "merged_lsn": report.merged_lsn,
+                "child": ingest.merge_child,
             }
         path, pointer = resolve_current(ingest.tree_path)
         if pointer is None or path == self.generation_path:
@@ -467,6 +478,7 @@ class QueryServer:
         return path, pointer.merged_seq, {
             "ops_applied": 0, "segments": 0,
             "merged_lsn": pointer.merged_lsn,
+            "child": ingest.merge_child,
         }
 
     def _cutover_blocking(self, path: str, merged_seq: int,
@@ -543,8 +555,9 @@ class QueryServer:
         searcher) happens *before* the swap, while the old generation
         keeps answering queries; the swap itself only reassigns
         references under the search lock, which by construction drains
-        any in-flight tree walk first.  Every failure raises
-        :class:`ReloadRejected` with the old generation untouched.
+        any in-flight tree walk first.  The fsck pass runs in a forked
+        child.  Every failure raises :class:`ReloadRejected` with the
+        old generation untouched.
         """
         from ..fsck import fsck as run_fsck
         from ..storage.mmap_store import MmapPageStore
@@ -559,7 +572,7 @@ class QueryServer:
                 f"{path} has no superblock; reload serves only durable "
                 "self-describing tree files")
         try:
-            report = run_fsck(path)
+            report, _ = run_in_child("fsck", run_fsck, path)
         except Exception as exc:
             raise ReloadRejected(
                 f"fsck of {path} failed: "

@@ -4,6 +4,8 @@ tombstones`` returns exactly what a from-scratch packed rebuild of the
 final logical set returns — for window, point, and kNN queries, with
 one layer or a frozen+live stack."""
 
+import tracemalloc
+
 import numpy as np
 
 from repro import RectArray, SortTileRecursive, bulk_load
@@ -203,3 +205,39 @@ class TestKnnBaseWalk:
         requested = [s.stats.buffer_hits + s.stats.buffer_misses
                      for s in (overlay.searcher, plain)]
         assert requested[0] == requested[1]
+
+
+class TestShadowedIds:
+    def test_one_layer_read_makes_no_copy_of_its_overridden_ids(self, rng):
+        """With one layer, the common case outside a merge, a read
+        filters the base answer against the layer's own ``overridden``
+        set: what a read allocates does not grow with that set."""
+        base = _random_entries(rng, range(3000))
+        searcher = _pack(base).searcher(64)
+        query = Rect((0.4, 0.4), (0.5, 0.5))
+        # Deleted ids outside the window, so every read below gets the
+        # same base answer and returns the same ids.
+        outside = [i for i, (lo, hi) in sorted(base.items())
+                   if hi[0] < 0.4 or lo[0] > 0.5
+                   or hi[1] < 0.4 or lo[1] > 0.5][:500]
+        assert len(outside) == 500
+
+        def read_peak(deleted):
+            delta = DeltaTree(NDIM)
+            for data_id in deleted:
+                delta.delete(data_id)
+            overlay = OverlaySearcher(searcher, (delta,))
+            expected = overlay.search_detailed(query).ids  # warm buffer
+            tracemalloc.start()
+            try:
+                result = overlay.search_detailed(query)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sorted(result.ids.tolist()) == sorted(expected.tolist())
+            return peak
+
+        one = read_peak(outside[:1])
+        five_hundred = read_peak(outside)
+        # A copy of 500 ids is a set table of at least 16 KiB.
+        assert five_hundred - one < 4 * 1024

@@ -373,6 +373,15 @@ def test_rl006_guards_the_serving_pool_modules(engine, path):
                         "RL006") == []
 
 
+def test_rl006_guards_the_merge_child_module(engine):
+    # run_in_child's entry point runs every merge re-pack and cutover
+    # fsck in a child process, under fork or spawn alike.
+    path = "src/repro/serve/child.py"
+    assert len(findings_for(engine, path, "CACHE = {}\n", "RL006")) == 1
+    assert findings_for(engine, path, "ORPHANED_EXIT = 75\n",
+                        "RL006") == []
+
+
 def test_rl005_guards_the_serving_pool_module(engine):
     # pool.py's coroutines run on the server's event loop; a blocking
     # call there stalls every session, so RL005's serve/ scope covers it.
