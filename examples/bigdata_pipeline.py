@@ -5,8 +5,9 @@ The paper's context is bulk-loading indexes for data that lives in files
 and is served from disk through a small buffer.  This example plays that
 scenario with every storage-facing feature of the library:
 
-1. stream records through the **external-memory STR loader** (bounded RAM,
-   spill files, k-way merge) onto a **striped multi-disk page store**;
+1. bulk-load with the **parallel STR build** (two worker processes, one
+   shard per top-level STR slab, staged and verified) onto a **striped
+   multi-disk page store**;
 2. persist the tree header and **reopen it as a new process would**;
 3. serve region queries through a small LRU buffer and report the
    declustered parallel I/O cost;
@@ -24,22 +25,13 @@ import tempfile
 
 import numpy as np
 
-from repro import PagedRTree, Rect
-from repro.core.packing.external import external_bulk_load
+from repro import PagedRTree, Rect, RectArray
 from repro.ingest import DeltaTree, OverlaySearcher, WriteAheadLog
+from repro.pipeline import parallel_bulk_load
 from repro.queries import region_queries
 from repro.storage.page import required_page_size
 from repro.storage.store import FilePageStore
 from repro.storage.striped import StripedPageStore
-
-
-def record_stream(count: int, seed: int):
-    """Simulates reading (id, rect) records from an ingest file."""
-    rng = np.random.default_rng(seed)
-    for start in range(0, count, 10_000):
-        batch = rng.random((min(10_000, count - start), 2))
-        for j, p in enumerate(batch):
-            yield (0.0, start + j, tuple(p), tuple(p))
 
 
 def inside(points: np.ndarray, query: Rect) -> np.ndarray:
@@ -53,22 +45,26 @@ def main() -> int:
     capacity = 100
     page_size = required_page_size(capacity, 2)
 
+    # Record i is point i; its id is its position.
+    points = np.random.default_rng(1).random((n, 2))
+
     with tempfile.TemporaryDirectory(prefix="repro-bigdata-") as workdir:
-        # 1. External bulk load onto 4 "disks" ---------------------------
+        # 1. Parallel STR build onto 4 "disks" ---------------------------
         disks = [
             FilePageStore(os.path.join(workdir, f"disk{i}.pages"),
                           page_size)
             for i in range(4)
         ]
         store = StripedPageStore(disks)
-        print(f"bulk-loading {n:,} records with bounded memory "
-              "(external STR)...")
-        tree, report = external_bulk_load(
-            record_stream(n, seed=1), 2, capacity=capacity, store=store,
-            chunk_size=50_000,
+        print(f"bulk-loading {n:,} records with 2 worker processes "
+              "(parallel STR)...")
+        tree, report = parallel_bulk_load(
+            RectArray.from_points(points), capacity=capacity, store=store,
+            staging_path=os.path.join(workdir, "staging"), workers=2,
         )
-        print(f"  wrote {report.pages_written} pages "
-              f"({report.pages_written * page_size / 1e6:.1f} MB across "
+        pages = report.bulk.pages_written
+        print(f"  wrote {pages} pages "
+              f"({pages * page_size / 1e6:.1f} MB across "
               f"{store.disk_count} disks), height {tree.height}")
 
         meta_path = os.path.join(workdir, "tree.meta.json")
@@ -96,8 +92,7 @@ def main() -> int:
         # query window are deleted.  An op is durable once appended; the
         # delta holds it until a merge re-packs the tree.
         q = Rect((0.45, 0.45), (0.55, 0.55))
-        base = np.array([lo for _, _, lo, _ in record_stream(n, seed=1)])
-        in_base = inside(base, q)
+        in_base = inside(points, q)
         rng = np.random.default_rng(3)
         inserts = rng.random((5_000, 2))
         deletes = rng.choice(in_base, size=500, replace=False)

@@ -6,7 +6,7 @@ that directory back into reviewable output without re-running anything:
 
 * :func:`list_runs_table` — one row per run stem with its artefacts;
 * :func:`render_manifest_text` — the timing-breakdown table, metric
-  snapshot and SLO verdicts of any stored manifest;
+  snapshot and extras of any stored manifest;
 * :func:`diff_tables` — a labelled delta table between two manifests or
   two bench documents, with threshold-crossing highlights (bench
   tolerance bands gate CI; manifest diffs highlight ±25% moves);
@@ -140,31 +140,8 @@ def _metrics_table(manifest: RunManifest) -> Table:
     return table
 
 
-def _slo_lines(manifest: RunManifest) -> list[str]:
-    """SLO verdict lines found anywhere in the manifest's extras."""
-    lines: list[str] = []
-
-    def _walk(prefix: str, block: object) -> None:
-        if not isinstance(block, dict):
-            return
-        slo = block.get("slo")
-        if isinstance(slo, dict) and "ok" in slo:
-            verdict = "OK" if slo.get("ok") else "VIOLATED"
-            detail = "; ".join(slo.get("violations") or ()) or (
-                f"p50={slo.get('p50')} p99={slo.get('p99')} "
-                f"over {slo.get('count')} sample(s)"
-            )
-            lines.append(f"slo [{prefix}]: {verdict} — {detail}")
-        for key, value in block.items():
-            if isinstance(value, dict) and key != "slo":
-                _walk(f"{prefix}.{key}" if prefix else key, value)
-
-    _walk("", manifest.extra or {})
-    return lines
-
-
 def render_manifest_text(manifest: RunManifest) -> str:
-    """Re-render a stored manifest: header, timings, metrics, verdicts."""
+    """Re-render a stored manifest: header, timings, metrics, extras."""
     lines = [
         f"experiment:  {manifest.experiment}",
         f"created:     {manifest.created_utc}",
@@ -183,9 +160,6 @@ def render_manifest_text(manifest: RunManifest) -> str:
         ).render())
     if manifest.metrics:
         blocks.append(_metrics_table(manifest).render())
-    slo = _slo_lines(manifest)
-    if slo:
-        blocks.append("\n".join(slo))
     for key, value in sorted((manifest.extra or {}).items()):
         blocks.append(
             f"extra[{key}]:\n"

@@ -5,11 +5,6 @@
 """
 
 from .base import PackingAlgorithm, PackingError, leaf_group_sizes
-from .external import (
-    ExternalRectSorter,
-    external_bulk_load,
-    external_str_order,
-)
 from .hilbert import HilbertSort
 from .nearest_x import NearestX
 from .registry import ALGORITHMS, algorithm_names, make_algorithm
@@ -19,9 +14,6 @@ __all__ = [
     "PackingAlgorithm",
     "PackingError",
     "leaf_group_sizes",
-    "ExternalRectSorter",
-    "external_str_order",
-    "external_bulk_load",
     "SortTileRecursive",
     "str_slab_sizes",
     "HilbertSort",

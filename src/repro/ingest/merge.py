@@ -225,11 +225,11 @@ def _read_base(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
 
 def merge_segments(tree_path: str | os.PathLike[str], *,
-                   capacity: int | None = None,
                    crash_plan: CrashPlan | None = None
                    ) -> MergeReport | None:
     """Drain every sealed, unmerged WAL segment into a new packed
-    generation and commit the cutover.
+    generation, at the base generation's capacity, and commit the
+    cutover.
 
     Returns ``None`` when there is nothing sealed to merge.  Safe to
     re-run after a kill at any point: either the pointer still names
@@ -261,9 +261,7 @@ def merge_segments(tree_path: str | os.PathLike[str], *,
         return None
 
     with obs.span("ingest.merge", segments=len(segments)):
-        ids, los, his, ndim, base_capacity = _read_base(base_path)
-        if capacity is None:
-            capacity = base_capacity
+        ids, los, his, ndim, capacity = _read_base(base_path)
         # Last writer wins: each touched id's final rect, or None when
         # its final op deleted it.
         final: dict[int, Rect | None] = {}

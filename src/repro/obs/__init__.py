@@ -48,7 +48,7 @@ from .metrics import (
     MetricsRegistry,
     percentile,
 )
-from .slo import RollingWindow, SloReport, SloTarget
+from .slo import RollingWindow
 from .runtime import (
     disable,
     enable,
@@ -104,8 +104,6 @@ __all__ = [
     "percentile",
     # slo
     "RollingWindow",
-    "SloTarget",
-    "SloReport",
     # runtime
     "enable",
     "disable",

@@ -42,7 +42,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     """Exact q-th percentile of ``values`` (linear interpolation).
 
     NaN when ``values`` is empty; shared by :class:`Histogram` and the
-    rolling-window SLO helpers in :mod:`repro.obs.slo`.
+    rolling latency windows in :mod:`repro.obs.slo`.
     """
     if not values:
         return float("nan")

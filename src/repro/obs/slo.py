@@ -1,29 +1,22 @@
-"""Latency SLO helpers: rolling percentile windows and targets.
+"""Rolling latency windows for long-lived servers.
 
-The serving layer promises a latency objective over the ``query.latency_s``
-distribution.  Two small pieces make that checkable at runtime:
+:class:`RollingWindow` is a bounded window of the most recent
+observations.  Unlike :class:`~repro.obs.metrics.Histogram` (which keeps
+every sample of a finite experiment), a long-lived server needs *rolling*
+p50/p99 that reflect recent traffic, not its entire uptime; the query
+server's ``healthz`` and ``stats`` report one over ``query.latency_s``.
 
-* :class:`RollingWindow` — a bounded window of the most recent
-  observations.  Unlike :class:`~repro.obs.metrics.Histogram` (which keeps
-  every sample of a finite experiment), a long-lived server needs *rolling*
-  p50/p99 that reflect recent traffic, not its entire uptime.
-* :class:`SloTarget` — declarative thresholds (``p50_s``/``p99_s``)
-  evaluated against any sample source; the result is a JSON-able
-  :class:`SloReport` that health endpoints embed verbatim.
-
-Both are import-light and thread-friendly: ``deque.append`` is atomic, so
+It is import-light and thread-friendly: ``deque.append`` is atomic, so
 executor threads observe without locks and readers snapshot consistently.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .metrics import percentile
 
-__all__ = ["RollingWindow", "SloTarget", "SloReport"]
+__all__ = ["RollingWindow"]
 
 
 class RollingWindow:
@@ -64,62 +57,3 @@ class RollingWindow:
             out["p99"] = percentile(values, 99.0)
             out["max"] = max(values)
         return out
-
-
-@dataclass(frozen=True)
-class SloReport:
-    """Outcome of checking one :class:`SloTarget` against samples."""
-
-    ok: bool
-    count: int
-    p50: float
-    p99: float
-    violations: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        """JSON-able form (embedded in health payloads)."""
-        return {
-            "ok": self.ok,
-            "count": self.count,
-            "p50": self.p50,
-            "p99": self.p99,
-            "violations": list(self.violations),
-        }
-
-
-@dataclass(frozen=True)
-class SloTarget:
-    """Latency objective: percentile thresholds in seconds (None = unset)."""
-
-    p50_s: float | None = None
-    p99_s: float | None = None
-
-    def evaluate(self, samples: "RollingWindow | Sequence[float] | Iterable[float]"
-                 ) -> SloReport:
-        """Check the target against a window, histogram, or sample list.
-
-        An empty sample set is vacuously ``ok`` (the server just started);
-        percentiles are NaN in that case.
-        """
-        if isinstance(samples, RollingWindow):
-            values = samples.values()
-        elif hasattr(samples, "values") and not isinstance(samples, (list, tuple)):
-            # A metrics Histogram: .values is the raw sample list.
-            raw = samples.values
-            values = list(raw() if callable(raw) else raw)
-        else:
-            values = list(samples)
-        p50 = percentile(values, 50.0)
-        p99 = percentile(values, 99.0)
-        violations = []
-        if values:
-            if self.p50_s is not None and p50 > self.p50_s:
-                violations.append(
-                    f"p50 {p50:.6f}s exceeds target {self.p50_s:.6f}s"
-                )
-            if self.p99_s is not None and p99 > self.p99_s:
-                violations.append(
-                    f"p99 {p99:.6f}s exceeds target {self.p99_s:.6f}s"
-                )
-        return SloReport(ok=not violations, count=len(values),
-                        p50=p50, p99=p99, violations=tuple(violations))

@@ -39,11 +39,8 @@ PHASES = ("sort", "tile", "pack", "read", "decode", "walk", "query",
 #: Exact span-name -> phase assignments (checked before the rules below).
 _PHASE_EXACT = {
     "hs.key": "sort",
-    "extsort.spill": "sort",
-    "extsort.merge": "sort",
     "bulk.load": "pack",
     "bulk.build": "pack",
-    "bulk.external_load": "pack",
     "bulk.write_level": "pack",
     "pack.order": "pack",
     "query.page_read": "read",

@@ -23,9 +23,8 @@ rules that make a staging directory crash-safe are small and uniform:
 :func:`atomic_publish` and :func:`publish_file` (for a file written
 in place first, such as the tree ``repro build`` assembles beside its
 target) are the only places in the package that rename a file: every
-other writer, the external sorter's crash-clean spill runs
-(:mod:`repro.core.packing.external`) included, publishes through them,
-and lint rule RL008 flags a rename anywhere else.
+other writer publishes through them, and lint rule RL008 flags a rename
+anywhere else.
 
 This module also owns the *CRC'd JSON record*, the one format behind
 ``plan.json``, the shard done records, the ingest WAL's lines and its

@@ -80,10 +80,10 @@ def pack_upper_levels(
     """Pack ``(MBR, page id)`` pairs upward until a single root remains.
 
     This is steps 2-3 of the paper's General Algorithm above the leaves,
-    shared by the serial loader, the external-memory loader and the
-    sharded parallel orchestrator so all three produce byte-identical
-    internal levels from the same leaf sequence.  Returns
-    ``(root_page, height)`` where height counts levels including leaves.
+    shared by the serial loader and the sharded parallel orchestrator so
+    both produce byte-identical internal levels from the same leaf
+    sequence.  Returns ``(root_page, height)`` where height counts levels
+    including leaves.
     """
     if len(page_ids) == 1:
         return int(page_ids[0]), start_level

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from ..obs.slo import SloTarget
-
 __all__ = [
     "store_health",
     "healthz_payload",
@@ -99,15 +97,6 @@ def _ingest_block(server: Any) -> dict | None:
     return block
 
 
-def _latency_block(server: Any) -> dict:
-    latency = server.latency.summary()
-    slo: SloTarget | None = server.slo
-    block = {"latency_s": latency}
-    if slo is not None:
-        block["slo"] = slo.evaluate(server.latency).as_dict()
-    return block
-
-
 def healthz_payload(server: Any) -> dict:
     """Liveness + operational snapshot (always ``ok`` while answering)."""
     payload = {
@@ -143,7 +132,7 @@ def healthz_payload(server: Any) -> dict:
     ingest = _ingest_block(server)
     if ingest is not None:
         payload["ingest"] = ingest
-    payload.update(_latency_block(server))
+    payload["latency_s"] = server.latency.summary()
     return payload
 
 
@@ -186,7 +175,7 @@ def readyz_payload(server: Any) -> dict:
             "merging": ingest.merging,
             "wal_pending_bytes": ingest.pending_bytes,
         }
-    payload.update(_latency_block(server))
+    payload["latency_s"] = server.latency.summary()
     if not payload["ready"]:
         payload["reason"] = ("reload drain in progress" if draining
                              else "circuit breaker is open")

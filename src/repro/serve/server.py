@@ -79,7 +79,7 @@ from ..ingest.overlay import OverlaySearcher
 from ..ingest.state import IngestState
 from ..ingest.wal import IngestError, WalOp
 from ..obs import runtime as obs
-from ..obs.slo import RollingWindow, SloTarget
+from ..obs.slo import RollingWindow
 from ..rtree.paged import PagedRTree
 from ..storage.breaker import CircuitBreaker
 from ..storage.integrity import IntegrityError, looks_like_superblock
@@ -138,7 +138,6 @@ class QueryServer:
         max_deadline_s: float = 30.0,
         breaker: CircuitBreaker | None = None,
         quarantine: Iterable[int] | None = None,
-        slo: SloTarget | None = None,
         degraded: bool = True,
         clock: Callable[[], float] = time.monotonic,
         allow_reload: bool = False,
@@ -150,7 +149,6 @@ class QueryServer:
         self.default_deadline_s = default_deadline_s
         self.max_deadline_s = max_deadline_s
         self.degraded = degraded
-        self.slo = slo
         self.allow_reload = allow_reload
         self.buffer_pages = buffer_pages
         self.generation = 1

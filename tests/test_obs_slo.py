@@ -1,10 +1,10 @@
-"""Rolling latency windows and SLO targets (``repro.obs.slo``)."""
+"""Rolling latency windows (``repro.obs.slo``)."""
 
 import math
 
 import pytest
 
-from repro.obs import Histogram, RollingWindow, SloTarget, percentile
+from repro.obs import Histogram, RollingWindow, percentile
 
 
 class TestPercentileFunction:
@@ -111,36 +111,3 @@ class TestRollingWindowPercentileEdgeCounts:
         for q in self.QS:
             assert window.percentile(q) == pytest.approx(
                 _reference_percentile(survivors, q))
-
-
-class TestSloTarget:
-    def test_empty_samples_vacuously_ok(self):
-        report = SloTarget(p50_s=0.001, p99_s=0.01).evaluate([])
-        assert report.ok
-        assert report.count == 0
-        assert math.isnan(report.p50)
-
-    def test_violations_named(self):
-        report = SloTarget(p50_s=0.5, p99_s=0.5).evaluate([1.0, 1.0, 1.0])
-        assert not report.ok
-        assert len(report.violations) == 2
-        assert any("p99" in v for v in report.violations)
-
-    def test_unset_thresholds_never_violate(self):
-        assert SloTarget().evaluate([100.0]).ok
-
-    def test_accepts_window_and_histogram_sources(self):
-        window = RollingWindow()
-        hist = Histogram("query.latency_s", {})
-        for v in (0.001, 0.002, 0.003):
-            window.observe(v)
-            hist.observe(v)
-        target = SloTarget(p99_s=1.0)
-        assert target.evaluate(window).p50 == target.evaluate(hist).p50
-        assert target.evaluate(window).ok
-
-    def test_as_dict_is_jsonable(self):
-        report = SloTarget(p99_s=0.5).evaluate([1.0])
-        d = report.as_dict()
-        assert d["ok"] is False
-        assert isinstance(d["violations"], list)

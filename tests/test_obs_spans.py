@@ -136,7 +136,6 @@ class TestPhaseOf:
         ("hs.sort", "sort"),
         ("nx.sort", "sort"),
         ("hs.key", "sort"),
-        ("extsort.spill", "sort"),
         ("str.tile", "tile"),
         ("bulk.write_level", "pack"),
         ("bulk.load", "pack"),

@@ -20,7 +20,7 @@ def run_cli(capsys, *args):
     return code, captured.out
 
 
-def _write_run(run_dir, experiment="profile-x", spans=True, extra=None,
+def _write_run(run_dir, experiment="profile-x", spans=True,
                created="2026-08-07T10:00:00+00:00"):
     """A synthetic stored run: manifest plus (optionally) a span trace."""
     tracer = obs.Tracer()
@@ -33,7 +33,7 @@ def _write_run(run_dir, experiment="profile-x", spans=True, extra=None,
     registry.counter("io.disk_reads").inc(42)
     manifest = obs.RunManifest.collect(
         experiment, argv=[experiment], duration_s=0.5,
-        tracer=tracer, registry=registry, extra=extra,
+        tracer=tracer, registry=registry,
     )
     manifest.created_utc = created
     stem = obs.unique_run_stem(manifest, run_dir)
@@ -94,19 +94,6 @@ class TestListAndRender:
         assert "Phase timing breakdown" in out
         assert "decode" in out and "walk" in out
         assert "io.disk_reads" in out and "42" in out
-
-    def test_render_surfaces_slo_verdicts_from_extras(self, tmp_path,
-                                                      capsys):
-        run_dir = str(tmp_path)
-        _, stem = _write_run(run_dir, extra={
-            "serve": {"slo": {"ok": False, "p50": 0.5, "p99": 0.9,
-                              "count": 10,
-                              "violations": ["p99 0.9s > target 0.1s"]}},
-        })
-        code, out = run_cli(capsys, "report", stem, "--run-dir", run_dir)
-        assert code == 0
-        assert "slo [serve]: VIOLATED" in out
-        assert "p99 0.9s > target 0.1s" in out
 
     def test_unknown_stem_is_a_cli_error(self, tmp_path):
         with pytest.raises(SystemExit):

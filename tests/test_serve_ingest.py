@@ -122,7 +122,10 @@ class TestWritePath:
                     assert ready["ingest"]["enabled"] is True
                     assert ready["ingest"]["overloaded"] is False
 
-        run(scenario())
+        try:
+            run(scenario())
+        finally:
+            tree.store.close()
 
     def test_upsert_is_last_writer_wins(self, tmp_path):
         tree_path = str(tmp_path / "tree.rt")
@@ -140,7 +143,10 @@ class TestWritePath:
                     oracle[7000] = (second.lo, second.hi)
                     await _assert_oracle_exact(c, oracle)
 
-        run(scenario())
+        try:
+            run(scenario())
+        finally:
+            tree.store.close()
 
     def test_in_process_data_id_outside_int64_is_refused(self, tmp_path):
         """A ``Request`` built in code skips the wire decoder; the write
@@ -168,7 +174,10 @@ class TestWritePath:
                     rect=[list(window.lo), list(window.hi)]))
                 assert resp.ok and resp.ids == _brute_search(oracle, window)
 
-        run(scenario())
+        try:
+            run(scenario())
+        finally:
+            tree.store.close()
 
     def test_writes_rejected_without_ingest(self, tmp_path):
         tree_path = str(tmp_path / "tree.rt")
@@ -186,7 +195,10 @@ class TestWritePath:
                     resp = await c.request(Request(op="merge"))
                     assert resp.error == "MergeFailed"
 
-        run(scenario())
+        try:
+            run(scenario())
+        finally:
+            store.close()
 
     def test_overload_sheds_with_typed_error(self, tmp_path):
         tree_path = str(tmp_path / "tree.rt")
@@ -212,7 +224,10 @@ class TestWritePath:
                     health = await c.healthz()
                     assert health["ingest"]["writes"]["shed"] == 1
 
-        run(scenario())
+        try:
+            run(scenario())
+        finally:
+            tree.store.close()
         assert state.wal.last_lsn == 1  # the shed write has no LSN
 
 
@@ -420,7 +435,10 @@ class TestMergeCutover:
                     assert data["merged"] is False
                     assert state.merging is False
 
-        run(scenario())
+        try:
+            run(scenario())
+        finally:
+            tree.store.close()
 
     def test_durability_across_restart_and_offline_merge(self, tmp_path):
         tree_path = str(tmp_path / "tree.rt")

@@ -339,24 +339,6 @@ class TestHealthEndpoints:
 
         run(scenario())
 
-    def test_slo_target_reported(self, rng):
-        from repro.obs import SloTarget
-        _, tree = _build(rng, n=500)
-
-        async def scenario():
-            server = QueryServer(tree, slo=SloTarget(p99_s=1e-12))
-            for i in range(5):
-                await server.handle_request(Request(
-                    op="search", id=i + 1,
-                    rect=[[0.1, 0.1], [0.2, 0.2]]))
-            resp = await server.handle_request(Request(op="healthz", id=9))
-            slo = resp.data["slo"]
-            assert slo["ok"] is False  # nothing beats a picosecond target
-            assert slo["violations"]
-            await server.aclose()
-
-        run(scenario())
-
 
 class TestStatsSnapshotAndShutdownManifest:
     def test_snapshot_matches_the_on_wire_stats_payload(self, rng):
