@@ -68,8 +68,7 @@ AWAIT_GUARDS: dict[str, AwaitGuard] = {
     ),
     "repro/serve/pool.py": AwaitGuard(
         attrs=frozenset({
-            "spec", "_workers", "_inflight", "_draining", "_closing",
-            "_started",
+            "_workers", "_inflight", "_closing", "_started",
         }),
     ),
 }

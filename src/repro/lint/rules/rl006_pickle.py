@@ -13,10 +13,10 @@ that only appear on macOS/Windows), and module-level ``lambda``s
 Flagged, for ``pipeline/worker.py`` and the serving layer's
 spawn-crossing modules (``serve/pool.py``, ``serve/supervisor.py``,
 whose ``worker_main`` and :class:`TreeSpec` are shipped to child
-processes the same way, and ``serve/child.py``, whose entry point runs
-each merge re-pack and cutover ``fsck``): module-level assignments
-whose value is a
-mutable container (list/dict/set/bytearray literal or constructor,
+processes the same way, ``serve/child.py``, whose entry point runs
+each merge and each reload's ``fsck``, and ``serve/server.py``, whose
+``_merge_child`` is the merge's call): module-level assignments whose
+value is a mutable container (list/dict/set/bytearray literal or constructor,
 ``collections`` mutables), and ``lambda`` expressions in module-level
 statements.
 
@@ -62,7 +62,7 @@ class WorkerPicklability(Rule):
                  "mutable state and nothing unpicklable under spawn")
     path_fragments = ("repro/pipeline/worker.py", "repro/serve/pool.py",
                       "repro/serve/query.py", "repro/serve/supervisor.py",
-                      "repro/serve/child.py")
+                      "repro/serve/child.py", "repro/serve/server.py")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for stmt in ctx.tree.body:

@@ -7,7 +7,7 @@ Three views, all JSON-able and all built from live server state:
   size, rolling latency percentiles, per-error-code counts.
 * ``readyz`` — the load-balancer answer.  A server is *ready* when its
   tree is attached, the circuit breaker is not open, and it is not
-  draining its worker pool for a generation reload; an open breaker
+  replacing its worker pool after a generation reload; an open breaker
   means new traffic would be served heavily degraded, so the server asks
   to be drained while still answering in-flight clients.
 * ``stats`` — the fuller numeric dump (health + per-store I/O counters).
@@ -75,6 +75,7 @@ def _pool_block(server: Any) -> dict | None:
     if pool is not None:
         block = pool.snapshot()
         block["enabled"] = True
+        block["draining"] = server.draining
         block["fallbacks"] = getattr(server, "pool_fallbacks", 0)
         return block
     if getattr(server, "workers", 0):
@@ -138,12 +139,10 @@ def healthz_payload(server: Any) -> dict:
 
 def readyz_payload(server: Any) -> dict:
     """Readiness: drain while the breaker is open or a reload is
-    draining the worker pool, serve otherwise."""
+    replacing the worker pool, serve otherwise."""
     breaker = server.breaker.snapshot()
     store = store_health(server.tree.store)
-    pool = getattr(server, "pool", None)
-    draining = bool(getattr(server, "reload_draining", False)
-                    or (pool is not None and pool.draining))
+    draining = server.draining
     payload = {
         "ready": breaker["state"] != "open" and not draining,
         "breaker": breaker,
@@ -185,9 +184,6 @@ def readyz_payload(server: Any) -> dict:
 def stats_payload(server: Any) -> dict:
     """The full numeric dump: healthz plus readiness and shed/trip detail."""
     payload = healthz_payload(server)
-    pool = getattr(server, "pool", None)
-    draining = bool(getattr(server, "reload_draining", False)
-                    or (pool is not None and pool.draining))
     payload["ready"] = (server.breaker.snapshot()["state"] != "open"
-                        and not draining)
+                        and not server.draining)
     return payload

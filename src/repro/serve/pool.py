@@ -29,11 +29,11 @@ flagged), or a **typed error** — never silently wrong.
   which :meth:`WorkerPool.execute` raises :class:`PoolUnavailable` and
   the server falls back to in-process serving — slower, but correct and
   alive.
-* :meth:`WorkerPool.remap` extends zero-downtime reload to the pool:
-  the pool drains (in-flight requests finish; new ones fall back
-  in-process against the *new* generation), every worker re-opens the
-  new generation file, and the pool rejoins — clients never see the
-  cutover, only the ``generation`` counter moving.
+* A pool serves one generation file for its whole life.  A reload
+  starts a fresh pool on the new file and then closes the old one
+  (:meth:`WorkerPool.aclose` lets requests in flight finish first);
+  the server answers in-process between the two, so clients never see
+  the cutover, only the ``generation`` counter moving.
 
 Workers answer through the same executor as the in-process server
 (:func:`repro.serve.query.execute` on an
@@ -94,8 +94,8 @@ START_TIMEOUT_S = 15.0
 
 
 class PoolUnavailable(Exception):
-    """The pool cannot take this request (not started, draining for a
-    reload, flap-tripped into degraded mode, or no live workers).
+    """The pool cannot take this request (not started, closing,
+    flap-tripped into degraded mode, or no live workers).
 
     Deliberately *not* a :class:`~repro.serve.protocol.ServeError`: it
     never reaches the wire.  The server catches it and serves the
@@ -228,11 +228,9 @@ def worker_main(requests: Any, results: Any, spec: TreeSpec) -> None:
     frame per answer (:func:`_send`: an 8-byte big-endian length, then
     the pickled tuple), which the frontend reads on its event loop::
 
-        requests -> ("search", req_id, payload) | ("remap", spec)
-                  | ("stop",)
+        requests -> ("search", req_id, payload) | ("stop",)
         results  -> ("ready", pid, generation)
                   | ("result", req_id, result) | ("error", req_id, code, msg)
-                  | ("remapped", generation) | ("remap_failed", message)
 
     A result's ``ids`` are encoded here, once, as
     :class:`~repro.serve.protocol.EncodedIds`.  A query failure answers
@@ -250,47 +248,26 @@ def worker_main(requests: Any, results: Any, spec: TreeSpec) -> None:
                 msg = requests.recv()
             except (EOFError, OSError):
                 break
-            kind = msg[0]
-            if kind == "stop":
+            if msg[0] == "stop":
                 break
-            if kind == "remap":
-                new_spec = msg[1]
-                try:
-                    new_searcher, new_store = _open_spec(new_spec)
-                except Exception as exc:
-                    _send(out, ("remap_failed",
-                                f"{type(exc).__name__}: {exc}"))
-                    continue
-                old_store = store
-                searcher, store, spec = new_searcher, new_store, new_spec
-                quarantine = set()
-                try:
-                    old_store.close()
-                except (StoreError, OSError):
-                    # Releasing the dead generation is best-effort; the
-                    # new one is already serving.
-                    pass
-                _send(out, ("remapped", new_spec.generation))
-                continue
-            if kind == "search":
-                req_id, payload = msg[1], msg[2]
-                try:
-                    deadline = Deadline.after(float(payload["budget_s"]))
-                    result = query.execute(searcher, payload,
-                                           deadline.check, quarantine)
-                except ServeError as exc:
-                    _send(out, ("error", req_id, exc.code, str(exc)))
-                except GeometryError as exc:
-                    _send(out, ("error", req_id, BadRequest.code, str(exc)))
-                except Exception as exc:
-                    # Absorb per-request failures as typed errors so one
-                    # malformed request cannot kill a healthy worker.
-                    _send(out, ("error", req_id, "StoreUnavailable",
-                                f"{type(exc).__name__}: {exc}"))
-                else:
-                    if "ids" in result:
-                        result["ids"] = encode_ids(result["ids"])
-                    _send(out, ("result", req_id, result))
+            req_id, payload = msg[1], msg[2]
+            try:
+                deadline = Deadline.after(float(payload["budget_s"]))
+                result = query.execute(searcher, payload,
+                                       deadline.check, quarantine)
+            except ServeError as exc:
+                _send(out, ("error", req_id, exc.code, str(exc)))
+            except GeometryError as exc:
+                _send(out, ("error", req_id, BadRequest.code, str(exc)))
+            except Exception as exc:
+                # Absorb per-request failures as typed errors so one
+                # malformed request cannot kill a healthy worker.
+                _send(out, ("error", req_id, "StoreUnavailable",
+                            f"{type(exc).__name__}: {exc}"))
+            else:
+                if "ids" in result:
+                    result["ids"] = encode_ids(result["ids"])
+                _send(out, ("result", req_id, result))
     finally:
         try:
             store.close()
@@ -323,8 +300,7 @@ class _Worker:
     end of its result pipe (``None`` once it reached EOF)."""
 
     __slots__ = ("index", "proc", "requests", "results", "frames", "state",
-                 "generation", "backoff", "remap_future", "pid",
-                 "restarts")
+                 "generation", "backoff", "pid", "restarts")
 
     def __init__(self, index: int, backoff: RestartBackoff) -> None:
         self.index = index
@@ -335,7 +311,6 @@ class _Worker:
         self.state = WorkerState.STOPPED
         self.generation = 0
         self.backoff = backoff
-        self.remap_future: "asyncio.Future[int] | None" = None
         self.pid: int | None = None
         self.restarts = 0
 
@@ -381,7 +356,6 @@ class WorkerPool:
             else "spawn")
         self._started = False
         self._closing = False
-        self._draining = False
         self.restarts_total = 0
         self.requeues_total = 0
         self.worker_lost_total = 0
@@ -395,24 +369,29 @@ class WorkerPool:
         """Spawn all workers; returns how many became ready in time.
 
         Workers that miss the start timeout are left to the supervisor
-        (they either turn up late or die and restart); a pool where
-        *none* come up raises :class:`PoolUnavailable` so the caller
-        can fall back to in-process serving with a clear reason.
+        (they either turn up late or die and restart).  A pool where
+        *none* come up, or whose workers die fast enough to trip the
+        flap circuit, raises :class:`PoolUnavailable` so the caller can
+        fall back to in-process serving with a clear reason; a tripped
+        circuit ends the wait at once, since no worker will follow.
         """
         self._loop = asyncio.get_running_loop()
         self._started = True
         for worker in self._workers:
             self._spawn(worker)
         deadline = Deadline.after(START_TIMEOUT_S, self.clock)
-        while not deadline.expired():
+        while not deadline.expired() and not self.flap.tripped:
             if self.workers_live == self.size:
                 break
             await self._state_changed(deadline.remaining())
         live = self.workers_live
-        if live == 0:
+        if self.flap.tripped or live == 0:
+            reason = (f"workers flapped while starting: "
+                      f"{self.last_restart_reason}" if self.flap.tripped
+                      else f"no worker became ready within "
+                           f"{START_TIMEOUT_S}s")
             await self.aclose()
-            raise PoolUnavailable(
-                f"no worker became ready within {START_TIMEOUT_S}s")
+            raise PoolUnavailable(reason)
         self._set_gauges()
         return live
 
@@ -472,21 +451,25 @@ class WorkerPool:
             results.close()
 
     async def aclose(self) -> None:
-        """Stop every worker and fail whatever is still in flight."""
+        """Take no new requests, let those in flight finish, then stop
+        every worker.
+
+        The wait is bounded: each request in flight ends by its answer,
+        its deadline-plus-grace timer, or its worker's death (which
+        still re-dispatches it at most once).
+        """
         if self._closing:
             return
         self._closing = True
+        pending = [rec.future for rec in self._inflight.values()]
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
         for worker in self._workers:
             if worker.requests is not None:
                 try:
                     worker.requests.send(("stop",))
                 except (OSError, BrokenPipeError):
                     pass  # already dead is fine here
-        for rec in list(self._inflight.values()):
-            if not rec.future.done():
-                rec.future.set_exception(
-                    PoolUnavailable("pool is shutting down"))
-        self._inflight.clear()
         # Exits arrive through the loop (EOF, then the sentinel); a
         # worker that has not stopped after 2 s is killed.
         await self._exits(2.0)
@@ -542,19 +525,6 @@ class WorkerPool:
                 exc_type = ERROR_TYPES.get(msg[2], ServeError)
                 rec.future.set_exception(exc_type(msg[3]))
             return
-        if kind == "remapped":
-            worker.generation = int(msg[1])
-            if worker.remap_future is not None \
-                    and not worker.remap_future.done():
-                worker.remap_future.set_result(worker.generation)
-            return
-        if kind == "remap_failed":
-            if worker.remap_future is not None \
-                    and not worker.remap_future.done():
-                worker.remap_future.set_exception(
-                    PoolUnavailable(f"worker {index} remap failed: "
-                                    f"{msg[1]}"))
-            return
 
     def _end_probation(self, index: int, pid: int | None) -> None:
         worker = self._workers[index]
@@ -566,17 +536,16 @@ class WorkerPool:
         worker = self._workers[index]
         if worker.proc is not proc:
             return  # stale event from a previous incarnation
-        was_stopping = self._closing
         worker.state = WorkerState.STOPPED
         if worker.requests is not None:
             worker.requests.close()
             worker.requests = None
         exitcode = proc.exitcode
-        if worker.remap_future is not None and not worker.remap_future.done():
-            worker.remap_future.set_exception(
-                PoolUnavailable(f"worker {index} died during remap"))
         self._wake_state_waiters()
-        if was_stopping:
+        if self._closing:
+            # Closing: no restart, but a request still in flight (aclose
+            # waits for those) goes to a sibling as it would otherwise.
+            self._redispatch_from(index)
             self._set_gauges()
             return
         obs.inc("serve.pool.worker_deaths")
@@ -668,16 +637,12 @@ class WorkerPool:
         return self.flap.tripped
 
     @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
     def generation(self) -> int:
         return self.spec.generation
 
     @property
     def available(self) -> bool:
-        return (self._started and not self._closing and not self._draining
+        return (self._started and not self._closing
                 and not self.flap.tripped and self.workers_live > 0)
 
     def _pick(self) -> _Worker | None:
@@ -738,8 +703,6 @@ class WorkerPool:
     def _unavailable_reason(self) -> str:
         if not self._started or self._closing:
             return "pool is not running"
-        if self._draining:
-            return "pool is draining for a generation reload"
         if self.flap.tripped:
             return "pool degraded after flapping workers"
         return "no live workers"
@@ -760,47 +723,6 @@ class WorkerPool:
         worker.state = WorkerState.KILLED
         self._set_gauges()
 
-    # -- generation reload -------------------------------------------------
-
-    async def remap(self, spec: TreeSpec) -> int:
-        """Graceful drain + cut every worker over to a new generation.
-
-        While draining, :meth:`execute` raises :class:`PoolUnavailable`
-        and the server answers in-process against the new generation —
-        zero downtime, just briefly single-process.  Returns how many
-        workers serve the new generation; workers that die mid-remap
-        restart straight into it (``self.spec`` is swapped first).
-        """
-        self._draining = True
-        obs.inc("serve.pool.remaps")
-        try:
-            pending = [rec.future for rec in self._inflight.values()]
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            self.spec = spec  # restarts from here on open the new gen
-            acks: list[asyncio.Future[int]] = []
-            if self._loop is None:
-                raise PoolUnavailable("pool not started")
-            for worker in self._workers:
-                if not worker.live or worker.requests is None:
-                    continue
-                worker.remap_future = self._loop.create_future()
-                acks.append(worker.remap_future)
-                try:
-                    worker.requests.send(("remap", spec))
-                except (OSError, BrokenPipeError):
-                    worker.remap_future.set_exception(
-                        PoolUnavailable("worker pipe closed mid-remap"))
-            results = await asyncio.gather(*acks, return_exceptions=True)
-            remapped = sum(1 for r in results
-                           if isinstance(r, int) and r == spec.generation)
-            self._set_gauges()
-            return remapped
-        finally:
-            self._draining = False
-            for worker in self._workers:
-                worker.remap_future = None
-
     # -- introspection -----------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -809,7 +731,6 @@ class WorkerPool:
             "workers_total": self.size,
             "workers_live": self.workers_live,
             "degraded": self.degraded,
-            "draining": self._draining,
             "generation": self.generation,
             "restarts_total": self.restarts_total,
             "requeues_total": self.requeues_total,

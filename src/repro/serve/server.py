@@ -40,8 +40,9 @@ store misbehaves:
   typed ``IngestOverloaded`` errors before logging anything, and the
   ``merge`` admin op seals the active segment, re-packs the sealed ops
   into a fresh generation in a forked child process (kill-resumable at
-  every write boundary), and cuts over through the same zero-downtime
-  swap ``reload`` uses.
+  every write boundary) that also fscks it, and cuts over through the
+  same zero-downtime swap ``reload`` uses.  An ingest server has no
+  worker pool: its workers could not see the delta.
 
 * started with ``workers=N``, queries execute in a supervised pool of
   ``N`` crash-isolated worker *processes* (:mod:`repro.serve.pool`),
@@ -49,8 +50,8 @@ store misbehaves:
   worker is restarted with backoff, its in-flight requests are
   re-dispatched at most once (typed ``WorkerLost`` after that), a
   flapping pool degrades to in-process serving instead of
-  crash-looping, and ``reload`` drains + remaps the pool with zero
-  downtime.
+  crash-looping, and ``reload`` starts a fresh pool on the new
+  generation, then closes the old one, with zero downtime.
 
 Every path — in-process, pooled, overlay — executes queries
 through :mod:`repro.serve.query`, so all of them answer byte-for-byte
@@ -60,9 +61,10 @@ Concurrency model: asyncio handles sockets and admission; searches run
 on a small thread pool under one lock (the shared file handle and
 buffer pool are single-accessor) or on the worker-process pool, so
 queueing, shedding and deadline expiry overlap real work.  A merge's
-re-pack and every cutover's ``fsck`` run in a forked child
-(:mod:`repro.serve.child`) that an executor thread waits on without
-holding the GIL, so they never compete with reads and writes for it.
+re-pack with the ``fsck`` of its generation, and a reload's ``fsck``,
+each run in one forked child (:mod:`repro.serve.child`) that an
+executor thread waits on without holding the GIL, so they never
+compete with reads and writes for it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ import time
 from collections import Counter as TallyCounter
 from concurrent.futures import ThreadPoolExecutor
 from threading import Lock
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..core.geometry import GeometryError, Rect
 from ..ingest.overlay import OverlaySearcher
@@ -109,6 +111,9 @@ from .protocol import (
     rect_from_wire,
 )
 
+if TYPE_CHECKING:
+    from ..fsck import FsckReport
+
 __all__ = ["QueryServer"]
 
 #: Exceptions from the storage stack that map to the ``StoreUnavailable``
@@ -122,6 +127,46 @@ SEARCH_THREADS = 2
 LATENCY_WINDOW = 1024
 #: Seed of the worker pool's restart-backoff jitter.
 POOL_SEED = 0
+
+
+def _merge_child(
+        tree_path: str, serving: str | None
+) -> tuple[str, int, dict, FsckReport | str] | None:
+    """A served merge's child process: re-pack the sealed WAL, then
+    fsck the generation to cut over to.
+
+    Returns ``(generation path, drained segment seq, merge summary,
+    fsck report)``, the report being the text of the exception that
+    ended the check if one did, or ``None`` when there is nothing to
+    cut over to.  With nothing new sealed, the committed pointer may
+    still name a generation other than ``serving``: a cutover rejected
+    after the pointer commit.  That generation already holds the
+    drained ops, so its fsck and cutover are all that is left of its
+    merge.  ``merge_segments`` and ``fsck`` are looked up at call
+    time, so a wrapped one is the one that runs.
+    """
+    from ..fsck import fsck
+    from ..ingest.merge import merge_segments, resolve_current
+
+    merged = merge_segments(tree_path)
+    if merged is not None:
+        path, merged_seq = merged.path, merged.merged_seq
+        merge = {"ops_applied": merged.ops_applied,
+                 "segments": merged.segments_merged,
+                 "merged_lsn": merged.merged_lsn}
+    else:
+        path, pointer = resolve_current(tree_path)
+        if pointer is None or path == serving:
+            return None
+        merged_seq = pointer.merged_seq
+        merge = {"ops_applied": 0, "segments": 0,
+                 "merged_lsn": pointer.merged_lsn}
+    report: FsckReport | str
+    try:
+        report = fsck(path)
+    except Exception as exc:
+        report = f"{type(exc).__name__}: {exc}"
+    return path, merged_seq, merge, report
 
 
 class QueryServer:
@@ -144,6 +189,11 @@ class QueryServer:
         workers: int = 0,
         ingest: IngestState | None = None,
     ):
+        if ingest is not None and workers > 0:
+            raise ValueError(
+                "an ingest server answers in-process: pool workers map "
+                "the packed file and cannot see the delta, so ingest "
+                "needs workers=0")
         self.tree = tree
         self.clock = clock
         self.default_deadline_s = default_deadline_s
@@ -196,18 +246,17 @@ class QueryServer:
         # Streaming ingest (enabled with ingest=IngestState; see
         # repro.ingest).  Writes are serialized single-flight: one
         # asyncio lock orders WAL appends, so LSNs ack in order.  The
-        # worker pool cannot see the in-memory delta, so an ingest
-        # server always answers in-process (workers is forced to 0 by
-        # the CLI; _dispatch_query also guards it).
+        # same lock orders every assignment of self.pool.
         self.ingest = ingest
         self._write_lock = asyncio.Lock()
 
         # Multi-process pool (enabled with workers >= 1; see serve.pool).
+        # draining is set while a reload replaces the pool.
         self.workers = workers
         self.pool: WorkerPool | None = None
         self.pool_fallbacks = 0
         self.pool_start_error: str | None = None
-        self.reload_draining = False
+        self.draining = False
 
     def stats_snapshot(self) -> dict:
         """The ``stats`` payload as a plain dict, callable off-protocol.
@@ -297,13 +346,9 @@ class QueryServer:
     async def _dispatch_query(self, payload: dict,
                               deadline: Deadline) -> dict:
         """Pool first when it is serving this generation; in-process
-        otherwise — pool unavailability costs latency, never answers.
-
-        Ingest-enabled servers always answer in-process: pool workers
-        mmap the packed file and cannot see the in-memory delta, so an
-        answer from them would miss unmerged acked writes."""
+        otherwise — pool unavailability costs latency, never answers."""
         pool = self.pool
-        if (self.ingest is None and pool is not None and pool.available
+        if (pool is not None and pool.available
                 and pool.generation == self.generation):
             dispatch = dict(payload,
                             budget_s=max(deadline.remaining(), 1e-3))
@@ -389,7 +434,8 @@ class QueryServer:
         the search lock (no reader sees a half-frozen layer stack);
         the re-pack itself runs in a forked child, without any lock,
         while queries keep answering over ``base ∪ frozen ∪ live``;
-        the cutover reuses the reload swap.  A failure before the
+        the same child fscks the new generation, and the cutover judges
+        that report and swaps as a reload does.  A failure before the
         pointer commit (the child's exception, or the child dying
         under a signal) leaves the old generation serving and raises
         typed ``MergeFailed``; a cutover that fails after it (say
@@ -434,8 +480,6 @@ class QueryServer:
             with self._search_lock:
                 ingest.abort_merge()
             raise
-        if self.pool is not None:
-            data["pool"] = await self._remap_pool()
         return Response(id=req.id, ok=True, op="merge", data=data)
 
     def _begin_merge_blocking(self) -> None:
@@ -444,55 +488,38 @@ class QueryServer:
         with self._search_lock:
             ingest.begin_merge()
 
-    def _merge_blocking(self) -> tuple[str, int, dict] | None:
+    def _merge_blocking(
+            self) -> tuple[str, int, dict, FsckReport | str] | None:
         """Drain the sealed WAL into a new generation; returns what to
         cut over to — ``(generation path, drained segment seq, merge
-        summary)`` — or ``None`` when there is nothing to do.
-
-        The re-pack, ``merge_segments``, runs in a forked child and
-        the summary carries that child's memory (``child``).
-
-        With nothing new sealed, the committed pointer may still name a
-        generation this server does not serve: a cutover rejected after
-        the pointer commit.  That generation already holds the drained
-        ops, so the cutover is all that is left of its merge.
+        summary, fsck report)`` — or ``None`` when there is nothing to
+        do.  One forked child (:func:`_merge_child`) does the work, and
+        the summary carries its memory (``child``).
         """
-        from ..ingest.merge import merge_segments, resolve_current
-
         ingest = self.ingest
         assert ingest is not None
-        report, ingest.merge_child = run_in_child(
-            "merge", merge_segments, ingest.tree_path)
-        if report is not None:
-            return report.path, report.merged_seq, {
-                "ops_applied": report.ops_applied,
-                "segments": report.segments_merged,
-                "merged_lsn": report.merged_lsn,
-                "child": ingest.merge_child,
-            }
-        path, pointer = resolve_current(ingest.tree_path)
-        if pointer is None or path == self.generation_path:
+        outcome, ingest.merge_child = run_in_child(
+            "merge", _merge_child, ingest.tree_path, self.generation_path)
+        if outcome is None:
             return None
-        return path, pointer.merged_seq, {
-            "ops_applied": 0, "segments": 0,
-            "merged_lsn": pointer.merged_lsn,
-            "child": ingest.merge_child,
-        }
+        path, merged_seq, merge, report = outcome
+        merge["child"] = ingest.merge_child
+        return path, merged_seq, merge, report
 
-    def _cutover_blocking(self, path: str, merged_seq: int,
-                          merge: dict) -> dict:
+    def _cutover_blocking(self, path: str, merged_seq: int, merge: dict,
+                          report: FsckReport | str) -> dict:
         """Swap in the merged generation and drop the frozen layers.
 
-        Reuses the reload path (fsck, open, swap under the search
-        lock); the frozen-layer drop happens under the same lock right
-        after the swap, so no query ever sees the new base *without*
-        the frozen deltas — between pointer-commit and this swap the
-        frozen upserts merely shadow identical base entries, which is
-        invisible.
+        Reuses the reload swap (judge the fsck report, open, swap under
+        the search lock); the frozen-layer drop happens under the same
+        lock right after the swap, so no query ever sees the new base
+        *without* the frozen deltas — between pointer-commit and this
+        swap the frozen upserts merely shadow identical base entries,
+        which is invisible.
         """
         ingest = self.ingest
         assert ingest is not None
-        data = self._reload_blocking(path)
+        data = self._swap_in(path, report)
         with self._search_lock:
             ingest.finish_merge(merged_seq)
         data["merged"] = True
@@ -512,53 +539,42 @@ class QueryServer:
         loop = asyncio.get_running_loop()
         data = await loop.run_in_executor(
             self._executor, self._reload_blocking, req.path)
-        if self.pool is not None:
-            data["pool"] = await self._remap_pool()
+        if self.workers:
+            data["pool"] = await self._replace_pool()
         return Response(id=req.id, ok=True, op="reload", data=data)
 
-    async def _remap_pool(self) -> dict:
-        """Drain the pool and cut every worker over to the (already
-        swapped-in) new generation; in-process serving covers the drain
-        window, so clients only ever see the generation counter move.
+    async def _replace_pool(self) -> dict:
+        """Start a pool on the generation just swapped in, then close
+        the old pool, whose requests in flight finish first.
 
-        Serialised under the write lock: a reload and a merge cutover
-        finishing together would otherwise race their pool swaps —
-        both read ``self.pool``, both await, and the loser publishes a
-        pool mapped to the wrong generation (RL009's check-then-act).
+        Queries answer in-process until the new pool is published (the
+        old one serves another generation), and ``readyz`` reports the
+        drain.  Each generation gets a fresh pool and so a fresh flap
+        circuit: a reload rejoins a degraded pool.  Under the write
+        lock, which orders every assignment of ``self.pool``: a second
+        reload or ``aclose`` waits for this one.
         """
         async with self._write_lock:
-            pool = self.pool
-            assert pool is not None
-            spec = TreeSpec.for_tree(self.tree,
-                                     buffer_pages=self.buffer_pages,
-                                     generation=self.generation)
-            if spec is None:  # new generation not file-backed: retire
-                await pool.aclose()
-                self.pool = None
-                self.pool_start_error = (
-                    "reloaded tree is not file-backed; pool retired")
-                return {"remapped": 0, "retired": True}
-            self.reload_draining = True
+            old = self.pool
+            new: WorkerPool | None = None
+            self.draining = True
             try:
-                remapped = await pool.remap(spec)
+                if not self._closing:
+                    new = await self._start_pool()
             finally:
-                self.reload_draining = False
-            return {"remapped": remapped,
-                    "workers_live": pool.workers_live}
+                self.pool = new
+                if old is not None:
+                    await old.aclose()
+                self.draining = False
+        live = 0 if new is None else new.workers_live
+        return {"remapped": live, "workers_live": live}
 
     def _reload_blocking(self, path: str) -> dict:
-        """Verify + open the candidate, then swap generations atomically.
-
-        All the slow work (fsck pass, opening the store, priming the
-        searcher) happens *before* the swap, while the old generation
-        keeps answering queries; the swap itself only reassigns
-        references under the search lock, which by construction drains
-        any in-flight tree walk first.  The fsck pass runs in a forked
-        child.  Every failure raises :class:`ReloadRejected` with the
-        old generation untouched.
+        """Verify the candidate in a forked ``fsck`` child, then hand
+        the report to :meth:`_swap_in`.  Every failure raises
+        :class:`ReloadRejected` with the old generation untouched.
         """
         from ..fsck import fsck as run_fsck
-        from ..storage.mmap_store import MmapPageStore
 
         try:
             with open(path, "rb") as f:
@@ -569,12 +585,29 @@ class QueryServer:
             raise ReloadRejected(
                 f"{path} has no superblock; reload serves only durable "
                 "self-describing tree files")
+        report: FsckReport | str
         try:
             report, _ = run_in_child("fsck", run_fsck, path)
         except Exception as exc:
-            raise ReloadRejected(
-                f"fsck of {path} failed: "
-                f"{type(exc).__name__}: {exc}") from None
+            report = f"{type(exc).__name__}: {exc}"
+        return self._swap_in(path, report)
+
+    def _swap_in(self, path: str, report: FsckReport | str) -> dict:
+        """Judge ``path``'s fsck report (or the text of the exception
+        that ended the check), then open it and swap generations
+        atomically.
+
+        Opening the store and priming the searcher happen *before* the
+        swap, while the old generation keeps answering queries; the
+        swap itself only reassigns references under the search lock,
+        which by construction drains any in-flight tree walk first.
+        Every failure raises :class:`ReloadRejected` with the old
+        generation untouched.
+        """
+        from ..storage.mmap_store import MmapPageStore
+
+        if isinstance(report, str):
+            raise ReloadRejected(f"fsck of {path} failed: {report}")
         if report.bad_pages:
             raise ReloadRejected(
                 f"fsck found {len(set(report.bad_pages))} bad page(s) "
@@ -674,18 +707,20 @@ class QueryServer:
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> tuple:
         """Bind and start accepting clients; returns ``(host, port)``."""
-        await self._start_pool()
+        if self.workers:
+            async with self._write_lock:
+                self.pool = await self._start_pool()
         self._server = await asyncio.start_server(
             self._serve_client, host, port, limit=REQUEST_LINE_LIMIT
         )
         self.address = self._server.sockets[0].getsockname()[:2]
         return self.address
 
-    async def _start_pool(self) -> None:
-        """Bring up the worker-process pool, or record why we could not
-        (serving then stays in-process — degraded latency, never down)."""
-        if self.workers < 1 or self.pool is not None:
-            return
+    async def _start_pool(self) -> WorkerPool | None:
+        """A started pool of ``workers`` processes on the serving
+        generation, or ``None`` with the reason in ``pool_start_error``
+        (serving then stays in-process — degraded latency, never down).
+        The caller holds the write lock and publishes the result."""
         spec = TreeSpec.for_tree(self.tree,
                                  buffer_pages=self.buffer_pages,
                                  generation=self.generation)
@@ -694,16 +729,16 @@ class QueryServer:
                 "tree store is not file-backed; worker processes cannot "
                 "re-open it — serving in-process")
             obs.inc("serve.pool.start_failures")
-            return
+            return None
         pool = WorkerPool(spec, self.workers, seed=POOL_SEED)
         try:
             await pool.start()
         except PoolUnavailable as exc:
             self.pool_start_error = str(exc)
             obs.inc("serve.pool.start_failures")
-            return
-        self.pool = pool  # repro-lint: disable=RL009 -- start() runs once, before the server accepts clients; no second task exists yet
+            return None
         self.pool_start_error = None
+        return pool
 
     async def serve_forever(self) -> None:
         """Block serving clients until cancelled (used by the CLI)."""
@@ -768,10 +803,11 @@ class QueryServer:
         answer dropped) before the executor shuts down, so no request is
         dispatched to a closed executor.
 
-        Swap-then-close: each reference is detached *before* the first
-        await, so a concurrent (or re-entrant) aclose never
-        double-closes a pool the first call is still awaiting on —
-        the check-then-act shape RL009 flags.
+        Swap-then-close: each reference is detached before it is
+        closed, so a concurrent (or re-entrant) aclose never
+        double-closes it; the pool is detached under the write lock, so
+        a reload replacing it finishes first and its new pool is the
+        one closed here.
         """
         self._closing = True
         server, self._server = self._server, None
@@ -787,7 +823,8 @@ class QueryServer:
                              return_exceptions=True)
         if server is not None:
             await server.wait_closed()
-        pool, self.pool = self.pool, None
+        async with self._write_lock:
+            pool, self.pool = self.pool, None
         if pool is not None:
             await pool.aclose()
         self._executor.shutdown(wait=True)

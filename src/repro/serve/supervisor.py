@@ -12,7 +12,8 @@ that :class:`~repro.serve.pool.WorkerPool` composes into its supervisor:
   within ``window_s`` reach ``threshold``, something systemic is wrong
   (poisoned generation file, OOM killer, bad deploy) and restarting
   harder will not fix it.  The pool then *degrades* to in-process
-  serving instead of crash-looping.
+  serving instead of crash-looping, for the rest of its life: a reload
+  or a server restart starts a fresh pool with a fresh circuit.
 * :class:`WorkerState` — the per-worker lifecycle vocabulary shared by
   the pool, its health payloads and the tests.
 
@@ -100,10 +101,10 @@ class FlapDetector:
     ``record(now)`` logs one death at clock time ``now`` and returns
     whether the circuit is now tripped: ``threshold`` or more deaths
     inside the trailing ``window_s`` seconds.  The circuit is *sticky*
-    — once tripped it stays tripped until :meth:`reset` — because a
-    pool that has fallen back to in-process serving should only rejoin
-    multi-process mode through an explicit operator action (restart or
-    reload), not by silently oscillating.
+    — once tripped it stays tripped — because a pool that has fallen
+    back to in-process serving should only rejoin multi-process mode
+    through an explicit operator action (a restart or a reload, each of
+    which starts a fresh pool), not by silently oscillating.
     """
 
     def __init__(self, threshold: int = 5, window_s: float = 30.0) -> None:
@@ -136,8 +137,3 @@ class FlapDetector:
         if self.in_window(now) >= self.threshold:
             self._tripped = True
         return self._tripped
-
-    def reset(self) -> None:
-        """Operator action (pool restart / reload): close the circuit."""
-        self._events.clear()
-        self._tripped = False

@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.serve.server
 from repro import RectArray, SortTileRecursive, bulk_load
 from repro.core.geometry import Rect
 from repro.ingest import (
@@ -230,6 +231,19 @@ class TestWritePath:
             tree.store.close()
         assert state.wal.last_lsn == 1  # the shed write has no LSN
 
+    def test_ingest_server_refuses_a_worker_pool(self, tmp_path):
+        """Pool workers map the packed file and cannot see the delta,
+        so an ingest server with workers is refused outright."""
+        tree_path = str(tmp_path / "tree.rt")
+        _build_base(tree_path, n=50)
+        tree, state = _open_serving(tree_path)
+        try:
+            with pytest.raises(ValueError, match="workers=0"):
+                QueryServer(tree, ingest=state, workers=2)
+        finally:
+            state.close()
+            tree.store.close()
+
 
 class TestMergeCutover:
     def test_merge_bumps_generation_answers_unchanged(self, tmp_path):
@@ -278,6 +292,36 @@ class TestMergeCutover:
 
         run(scenario())
 
+    def test_a_merge_forks_one_child(self, tmp_path, monkeypatch):
+        """The re-pack and the fsck of the generation it commits share
+        one forked child; the cutover forks no second one."""
+        tree_path = str(tmp_path / "tree.rt")
+        oracle = _build_base(tree_path, n=50)
+        tree, state = _open_serving(tree_path)
+        real_run_in_child = repro.serve.server.run_in_child
+        forks = []
+
+        def counting(what, fn, *args):
+            forks.append(what)
+            return real_run_in_child(what, fn, *args)
+
+        monkeypatch.setattr(repro.serve.server, "run_in_child", counting)
+
+        async def scenario():
+            async with QueryServer(tree, ingest=state) as server:
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as c:
+                    for i in range(8000, 8010):
+                        (await c.insert(i, _rect(i))).raise_for_error()
+                        oracle[i] = (_rect(i).lo, _rect(i).hi)
+                    data = await c.merge()
+                    assert data["merged"] is True
+                    assert server.generation == 2
+                    assert forks == ["merge"]
+                    await _assert_oracle_exact(c, oracle)
+
+        run(scenario())
+
     def test_served_generations_are_never_written(self, tmp_path):
         """The merge maps its base read-only, and neither its cutover
         nor a reload writes the generation it retires."""
@@ -317,7 +361,7 @@ class TestMergeCutover:
         oracle = _build_base(tree_path, n=50)
         tree, state = _open_serving(tree_path)
         real_merge = QueryServer._merge_blocking
-        real_reload = QueryServer._reload_blocking
+        real_swap = QueryServer._swap_in
         failures = []
 
         def full_disk_once(server):
@@ -326,14 +370,14 @@ class TestMergeCutover:
                 raise OSError(errno.ENOSPC, "No space left on device")
             return real_merge(server)
 
-        def reject_once(server, path):
+        def reject_once(server, path, report):
             if "reload" not in failures:
                 failures.append("reload")
                 raise ReloadRejected(f"fsck of {path} failed")
-            return real_reload(server, path)
+            return real_swap(server, path, report)
 
         monkeypatch.setattr(QueryServer, "_merge_blocking", full_disk_once)
-        monkeypatch.setattr(QueryServer, "_reload_blocking", reject_once)
+        monkeypatch.setattr(QueryServer, "_swap_in", reject_once)
 
         async def insert(c, first, count):
             for i in range(first, first + count):
@@ -377,16 +421,16 @@ class TestMergeCutover:
         tree_path = str(tmp_path / "tree.rt")
         oracle = _build_base(tree_path, n=50)
         tree, state = _open_serving(tree_path)
-        real_reload = QueryServer._reload_blocking
+        real_swap = QueryServer._swap_in
         rejected = []
 
-        def reject_once(server, path):
+        def reject_once(server, path, report):
             if not rejected:
                 rejected.append(path)
                 raise ReloadRejected(f"fsck of {path} failed")
-            return real_reload(server, path)
+            return real_swap(server, path, report)
 
-        monkeypatch.setattr(QueryServer, "_reload_blocking", reject_once)
+        monkeypatch.setattr(QueryServer, "_swap_in", reject_once)
 
         async def scenario():
             async with QueryServer(tree, ingest=state) as server:

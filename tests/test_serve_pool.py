@@ -1,17 +1,21 @@
 """The supervised worker pool: supervision policy units (fake clock),
 pool answers against the oracle over real processes, crash recovery,
-flap degradation with in-process fallback, drain/remap, and the pool
-blocks of the health endpoints."""
+flap degradation with in-process fallback, reloads that replace the
+pool, and the pool blocks of the health endpoints.  No worker process
+outlives a test."""
 
 import asyncio
+import errno
 import json
 import multiprocessing
 import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
+import repro.serve.pool
 from repro import RectArray, SortTileRecursive, bulk_load
 from repro.core.geometry import Rect
 from repro.queries import region_queries
@@ -21,13 +25,14 @@ from repro.serve import (
     PoolUnavailable,
     QueryClient,
     QueryServer,
+    Request,
     RestartBackoff,
     TreeSpec,
     WorkerPool,
     WorkerState,
 )
 from repro.serve.deadline import Deadline
-from repro.serve.pool import _frame, _FrameReader
+from repro.serve.pool import START_TIMEOUT_S, _frame, _FrameReader
 from repro.serve.protocol import (
     DeadlineExceeded,
     EncodedIds,
@@ -58,6 +63,17 @@ def _durable_tree(tmp_path, rng, name="tree.pages", n=2_000):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_the_test():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers see a patched _open_spec only when forked")
 
 
 class TestRestartBackoff:
@@ -119,11 +135,10 @@ class TestFlapDetector:
         flap.record(0.0)
         assert flap.record(0.1) is True
         # Far in the future, still tripped: rejoining multi-process mode
-        # takes an operator action, not quiet oscillation.
+        # takes an operator action (a reload or restart starts a fresh
+        # pool with a fresh circuit), not quiet oscillation.
         assert flap.record(1000.0) is True
-        flap.reset()
-        assert not flap.tripped
-        assert flap.record(1000.1) is False
+        assert flap.tripped
 
     def test_rejects_nonsense_parameters(self):
         with pytest.raises(ValueError):
@@ -164,7 +179,7 @@ class TestResultFrames:
                        "partial": False, "unreachable_subtrees": 0,
                        "faults": []}),
         ("error", 8, "BadRequest", "x" * 300),
-        ("remapped", 2),
+        ("ready", 4243, 2),
     ]
 
     def _stream(self):
@@ -374,60 +389,57 @@ class TestWorkerPoolDirect:
         run(scenario())
         tree.store.close()
 
-    def test_remap_moves_every_worker_to_the_new_generation(
-            self, tmp_path, rng):
-        import numpy as np
-        tree = _durable_tree(tmp_path, rng, n=800)
-        tree2 = _durable_tree(tmp_path, np.random.default_rng(99),
-                              name="gen2.pages", n=900)
-        oracle2 = tree2.searcher(256)
+    @needs_fork
+    def test_start_gives_up_once_the_flap_circuit_trips(
+            self, tmp_path, rng, monkeypatch):
+        tree = _durable_tree(tmp_path, rng, n=600)
         spec = TreeSpec.for_tree(tree, buffer_pages=32, generation=1)
-        spec2 = TreeSpec.for_tree(tree2, buffer_pages=32, generation=2)
-        queries = list(region_queries(0.05, 10, seed=8))
+        monkeypatch.setattr(repro.serve.pool, "_open_spec", _no_fds)
 
         async def scenario():
             pool = WorkerPool(spec, 2, seed=0)
-            await pool.start()
-            try:
-                remapped = await pool.remap(spec2)
-                assert remapped == 2
-                assert pool.generation == 2
-                assert not pool.draining
-                snap = pool.snapshot()
-                assert all(w["generation"] == 2
-                           for w in snap["workers"])
-                for q in queries:
-                    result = await pool.execute(_payload(q),
-                                                Deadline.after(30.0))
-                    assert _ids(result) == sorted(
-                        int(x) for x in oracle2.search(q))
-            finally:
-                await pool.aclose()
+            start = time.monotonic()
+            with pytest.raises(PoolUnavailable, match="flapped"):
+                await pool.start()
+            return time.monotonic() - start, pool
 
-        run(scenario())
+        elapsed, pool = run(scenario())
+        assert pool.degraded
+        assert elapsed < START_TIMEOUT_S / 3, elapsed
         tree.store.close()
-        tree2.store.close()
 
-    def test_execute_while_draining_is_pool_unavailable(
-            self, tmp_path, rng):
-        tree = _durable_tree(tmp_path, rng, n=600)
-        spec = TreeSpec.for_tree(tree, buffer_pages=32, generation=1)
 
-        async def scenario():
-            pool = WorkerPool(spec, 1, seed=0)
-            await pool.start()
-            try:
-                pool._draining = True
-                with pytest.raises(PoolUnavailable):
-                    await pool.execute(
-                        _payload(list(region_queries(0.05, 1, seed=1))[0]),
-                        Deadline.after(5.0))
-            finally:
-                pool._draining = False
-                await pool.aclose()
+def _no_fds(spec):
+    """A worker's ``_open_spec`` on a host out of file descriptors."""
+    raise OSError(errno.EMFILE, "Too many open files")
 
-        run(scenario())
-        tree.store.close()
+
+_REAL_OPEN_SPEC = repro.serve.pool._open_spec
+
+
+def _open_but_generation_2(spec):
+    if spec.generation == 2:
+        _no_fds(spec)
+    return _REAL_OPEN_SPEC(spec)
+
+
+def _two_generations(tmp_path, rng):
+    """Generation 1 and a generation-2 file holding other records under
+    other ids; returns (tree 1, gen-2 path, gen-2 brute force)."""
+    tree = _durable_tree(tmp_path, rng, n=1_500)
+    points = np.random.default_rng(99).random((1_200, NDIM))
+    ids = np.arange(50_000, 51_200, dtype=np.int64)
+    store = FilePageStore(tmp_path / "gen2.pages", PAGE_SIZE,
+                          checksums=True)
+    bulk_load(RectArray.from_points(points), SortTileRecursive(),
+              capacity=CAPACITY, data_ids=ids, store=store)
+    store.close()
+
+    def brute_force(q):
+        inside = np.all((points >= q.lo) & (points <= q.hi), axis=1)
+        return sorted(int(i) for i in ids[inside])
+
+    return tree, str(tmp_path / "gen2.pages"), brute_force
 
 
 class TestServerWithPool:
@@ -527,3 +539,106 @@ class TestServerWithPool:
 
         run(scenario())
         tree.store.close()
+
+    @needs_fork
+    def test_reload_the_workers_cannot_open_answers_the_new_generation(
+            self, tmp_path, rng, monkeypatch):
+        """Workers that cannot open generation 2 must not keep serving
+        generation 1 under its number: the new pool fails to start, the
+        old one is closed, and every answer is generation 2's."""
+        tree, path2, brute_force = _two_generations(tmp_path, rng)
+        queries = list(region_queries(0.05, 30, seed=12))
+        monkeypatch.setattr(repro.serve.pool, "_open_spec",
+                            _open_but_generation_2)
+
+        async def scenario():
+            async with QueryServer(tree, buffer_pages=64, workers=2,
+                                   allow_reload=True) as server:
+                assert server.pool is not None, server.pool_start_error
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as client:
+                    start = time.monotonic()
+                    data = await client.reload(path2)
+                    assert time.monotonic() - start < START_TIMEOUT_S / 3
+                    assert data["generation"] == 2
+                    for q in queries:
+                        resp = (await client.search(q)).raise_for_error()
+                        assert resp.ids == brute_force(q)
+                    assert data["pool"] == {"remapped": 0,
+                                            "workers_live": 0}
+                    health = await client.healthz()
+                    assert health["pool"]["enabled"] is False
+                    assert "flapped" in health["pool"]["reason"]
+                    assert (await client.readyz())["ready"] is True
+
+        run(scenario())
+
+    def test_reload_rejoins_a_flap_degraded_pool(self, tmp_path, rng):
+        tree, path2, brute_force = _two_generations(tmp_path, rng)
+        queries = list(region_queries(0.05, 30, seed=13))
+
+        async def scenario():
+            async with QueryServer(tree, buffer_pages=64, workers=2,
+                                   allow_reload=True) as server:
+                assert server.pool is not None, server.pool_start_error
+                pool = server.pool
+                deadline = Deadline.after(20.0)
+                while not pool.degraded and not deadline.expired():
+                    for worker in pool.snapshot()["workers"]:
+                        if worker["pid"] and worker["state"] == "ready":
+                            try:
+                                os.kill(worker["pid"], signal.SIGKILL)
+                            except ProcessLookupError:
+                                pass
+                    await asyncio.sleep(0.05)
+                assert pool.degraded
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as client:
+                    assert (await client.healthz())["pool"]["degraded"]
+                    data = await client.reload(path2)
+                    assert data["pool"] == {"remapped": 2,
+                                            "workers_live": 2}
+                    health = await client.healthz()
+                    assert health["pool"]["degraded"] is False
+                    assert health["pool"]["workers_live"] == 2
+                    assert health["pool"]["generation"] == 2
+                    assert {w["generation"] for w in
+                            health["pool"]["workers"]} == {2}
+                    fallbacks = server.pool_fallbacks
+                    for q in queries:
+                        resp = (await client.search(q)).raise_for_error()
+                        assert resp.ids == brute_force(q)
+                    assert server.pool_fallbacks == fallbacks
+
+        run(scenario())
+
+    @pytest.mark.parametrize("moment", ["fsck", "pool start"])
+    def test_reload_racing_aclose_leaves_no_process(self, tmp_path, rng,
+                                                     moment):
+        """``aclose`` while a reload checks its file, or while it starts
+        the new pool: either way every worker and child is reaped."""
+        tree, path2, _ = _two_generations(tmp_path, rng)
+
+        def reached():
+            if moment == "fsck":
+                return any(p.name == "repro-fsck-child"
+                           for p in multiprocessing.active_children())
+            return server.draining
+
+        async def scenario():
+            await server.start()
+            assert server.pool is not None, server.pool_start_error
+            reload = asyncio.ensure_future(server.handle_request(
+                Request(op="reload", id=1, path=path2)))
+            deadline = Deadline.after(10.0)
+            while not reached() and not deadline.expired():
+                await asyncio.sleep(0.001)
+            assert reached(), moment
+            await server.aclose()
+            resp = await reload
+            assert resp.ok, resp.message
+            assert server.pool is None
+
+        server = QueryServer(tree, buffer_pages=64, workers=2,
+                             allow_reload=True)
+        run(scenario())
