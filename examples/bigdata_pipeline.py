@@ -8,10 +8,9 @@ scenario with every storage-facing feature of the library:
 1. bulk-load with the **parallel STR build** (two worker processes, one
    shard per top-level STR slab, staged and verified) onto a **striped
    multi-disk page store**;
-2. persist the tree header and **reopen it as a new process would**;
-3. serve region queries through a small LRU buffer and report the
+2. serve region queries through a small LRU buffer and report the
    declustered parallel I/O cost;
-4. take live inserts and deletes through the **ingest path**: each one is
+3. take live inserts and deletes through the **ingest path**: each one is
    fsync'd to a write-ahead log, applied to an in-memory delta, and a
    window is answered as packed tree ∪ delta − deletes by an overlay,
    checked against a brute-force scan of the same records.
@@ -25,7 +24,7 @@ import tempfile
 
 import numpy as np
 
-from repro import PagedRTree, Rect, RectArray
+from repro import Rect, RectArray
 from repro.ingest import DeltaTree, OverlaySearcher, WriteAheadLog
 from repro.pipeline import parallel_bulk_load
 from repro.queries import region_queries
@@ -67,16 +66,9 @@ def main() -> int:
               f"({pages * page_size / 1e6:.1f} MB across "
               f"{store.disk_count} disks), height {tree.height}")
 
-        meta_path = os.path.join(workdir, "tree.meta.json")
-        tree.save_meta(meta_path)
-
-        # 2. Reopen as a fresh process would -----------------------------
-        reopened = PagedRTree.open(store, meta_path)
-        print(f"reopened tree: {len(reopened):,} records")
-
-        # 3. Serve queries through a 50-page buffer ----------------------
+        # 2. Serve queries through a 50-page buffer ----------------------
         store.reset_disk_stats()
-        searcher = reopened.searcher(buffer_pages=50)
+        searcher = tree.searcher(buffer_pages=50)
         workload = region_queries(0.05, 500, seed=2)
         hits = sum(searcher.search(q).size for q in workload)
         print(f"served {len(workload)} map-window queries: "
@@ -87,7 +79,7 @@ def main() -> int:
               f"-> parallel speedup {store.parallel_speedup():.2f}x "
               f"of {store.disk_count} ideal")
 
-        # 4. Live writes go through the ingest path ----------------------
+        # 3. Live writes go through the ingest path ----------------------
         # 5,000 new records arrive anywhere, and 500 old ones inside the
         # query window are deleted.  An op is durable once appended; the
         # delta holds it until a merge re-packs the tree.

@@ -28,7 +28,8 @@ Build a durable tree across worker processes, survive a ``kill -9``::
     python -m repro build tree.rt --size 1000000 --workers 8
     python -m repro build tree.rt --size 1000000 --workers 8 --resume
 
-Check a file offline, then serve it with live generation reloads::
+Check a durable tree file offline, then serve it with live generation
+reloads (both read the layout and the tree header from its superblock)::
 
     python -m repro fsck tree.rt
     python -m repro serve tree.rt --allow-reload
@@ -191,12 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "tree file (with 'fsck' / 'serve' / 'build'), "
                              "path to check (with 'lint'; default src), "
                              "or run stem / manifest path (with 'report')")
-    parser.add_argument("--meta", default=None, metavar="PATH",
-                        help="fsck/serve: tree meta sidecar for plain "
-                             "page files")
-    parser.add_argument("--page-size", type=int, default=None,
-                        help="fsck/serve: page size for plain page files "
-                             "without a sidecar")
     parser.add_argument("--quarantine", default=None, metavar="PATH",
                         help="fsck: write bad page ids here as a "
                              "quarantine file; serve: load one and skip "
@@ -419,8 +414,7 @@ def _run_fsck(args: argparse.Namespace, argv: list[str]) -> int:
     from .fsck import fsck, write_quarantine
 
     start = time.time()
-    report = fsck(args.target, meta_path=args.meta,
-                  page_size=args.page_size)
+    report = fsck(args.target)
     print(report.render())
     if args.quarantine is not None:
         # Even a clean check writes the (empty) file, so `fsck` then
@@ -440,28 +434,24 @@ def _run_fsck(args: argparse.Namespace, argv: list[str]) -> int:
     return 0 if report.clean else 1
 
 
-def _open_tree(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Map the tree at ``args.target`` (durable or sidecar-described)
-    read-only for serving; a legacy journal is replayed first."""
+def _open_tree(path: str, parser: argparse.ArgumentParser):
+    """Map the durable tree at ``path`` read-only for serving; a legacy
+    journal is replayed first.  A file that does not describe itself
+    (no superblock, no committed tree) is a usage error."""
     from .rtree.paged import PagedRTree
-    from .storage.integrity import looks_like_superblock
+    from .storage.integrity import IntegrityError
     from .storage.mmap_store import MmapPageStore
+    from .storage.store import StoreError
 
-    with open(args.target, "rb") as f:
-        durable = looks_like_superblock(f.read(4))
-    if durable:
-        store = MmapPageStore.open_existing(args.target)
+    try:
+        store = MmapPageStore.open_existing(path)
+    except (StoreError, IntegrityError, OSError) as exc:
+        parser.error(str(exc))
+    try:
         return PagedRTree.from_store(store)
-    if args.meta is None:
-        parser.error(f"{args.target} has no superblock — pass the tree "
-                     f"meta sidecar with --meta")
-    page_size = args.page_size
-    if page_size is None:
-        import json as _json
-        with open(args.meta) as f:
-            page_size = int(_json.load(f)["page_size"])
-    store = MmapPageStore(args.target, page_size)
-    return PagedRTree.open(store, args.meta)
+    except StoreError as exc:
+        store.close()
+        parser.error(str(exc))
 
 
 def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser,
@@ -471,7 +461,8 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser,
     A graceful shutdown (SIGINT) snapshots the server's ``stats``
     payload into a run manifest under the run directory, so every
     serving session leaves the same lab-notebook record as a benchmark
-    or lint run.
+    or lint run, then closes the server (its pool and connections) and
+    the tree's store.
     """
     import asyncio
 
@@ -486,16 +477,14 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser,
         from .ingest import DEFAULT_WAL_LIMIT, IngestState, resolve_current
 
         current, _pointer = resolve_current(args.target)
-        opened = argparse.Namespace(**vars(args))
-        opened.target = current
-        tree = _open_tree(opened, parser)
+        tree = _open_tree(current, parser)
         ingest_state, _base = IngestState.open(
             args.target, ndim=tree.ndim,
             max_wal_bytes=(args.wal_limit_bytes
                            if args.wal_limit_bytes is not None
                            else DEFAULT_WAL_LIMIT))
     else:
-        tree = _open_tree(args, parser)
+        tree = _open_tree(args.target, parser)
     quarantine = None
     if args.quarantine is not None:
         quarantine = read_quarantine(args.quarantine)
@@ -518,40 +507,48 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser,
         workers=workers,
         ingest=ingest_state,
     )
+    stats: dict = {}
 
     async def _serve() -> None:
-        host, port = await server.start(args.host, args.port)
-        pool_note = ""
-        if workers:
-            if server.pool is not None:
-                pool_note = (f", {server.pool.workers_live}/{workers} "
-                             f"worker process(es)")
-            else:
-                pool_note = (f", in-process fallback "
-                             f"({server.pool_start_error})")
-        ingest_note = ""
-        if ingest_state is not None:
-            ingest_note = (f", ingest on (wal lsn "
-                           f"{ingest_state.wal.last_lsn}, "
-                           f"{len(ingest_state.live)} live delta "
-                           f"record(s))")
-        print(f"serving {args.target} on {host}:{port} "
-              f"({len(tree)} records, height {tree.height}, "
-              f"{len(server.quarantine)} quarantined page(s)"
-              f"{pool_note}{ingest_note})",
-              flush=True)
-        await server.serve_forever()
+        try:
+            host, port = await server.start(args.host, args.port)
+            pool_note = ""
+            if workers:
+                if server.pool is not None:
+                    pool_note = (f", {server.pool.workers_live}/{workers} "
+                                 f"worker process(es)")
+                else:
+                    pool_note = (f", in-process fallback "
+                                 f"({server.pool_start_error})")
+            ingest_note = ""
+            if ingest_state is not None:
+                ingest_note = (f", ingest on (wal lsn "
+                               f"{ingest_state.wal.last_lsn}, "
+                               f"{len(ingest_state.live)} live delta "
+                               f"record(s))")
+            print(f"serving {args.target} on {host}:{port} "
+                  f"({len(tree)} records, height {tree.height}, "
+                  f"{len(server.quarantine)} quarantined page(s)"
+                  f"{pool_note}{ingest_note})",
+                  flush=True)
+            await server.serve_forever()
+        finally:
+            # Snapshot before closing: aclose drops the pool block.
+            stats.update(server.stats_snapshot())
+            await server.aclose()
 
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
+    finally:
+        tree.store.close()
     if not args.no_manifest:
         run_dir = (args.run_dir if args.run_dir is not None
                    else obs.DEFAULT_RUN_DIR)
         manifest = obs.RunManifest.collect(
             "serve", argv=argv, duration_s=time.time() - start,
-            extra={"serve": server.stats_snapshot()},
+            extra={"serve": stats},
         )
         path = obs.write_manifest(manifest, run_dir)
         print(f"wrote {path}", file=sys.stderr)

@@ -3,11 +3,12 @@
 ``fsck`` answers one question about a tree file: *can every byte of it be
 trusted?*  It runs three phases, each strictly weaker failures short-cut:
 
-1. **Open & recover** — locate the superblock (durable stores are
-   self-describing), replay any intact records of a legacy write-journal
-   sidecar, and refuse precisely when the file cannot be opened at all.
+1. **Open & recover** — locate the superblock (the file describes
+   itself; one without a superblock is fatal), replay any intact records
+   of a legacy write-journal sidecar, and refuse precisely when the file
+   cannot be opened at all.
 2. **Page scan** — read every committed page raw, verify its checksum
-   trailer (durable stores), and decode it with the node codec.  Every
+   trailer (checksummed files), and decode it with the node codec.  Every
    failure is collected, not just the first.  Verified pages are counted
    per trailer (checksum) version, so an operator can see which files
    still verify on the slow version-1 path.  This is the only pass over
@@ -45,7 +46,6 @@ from .rtree.validate import iter_paged_violations
 from .storage.integrity import (
     ChecksumError,
     IntegrityError,
-    looks_like_superblock,
     trailer_info,
     verify_trailer,
 )
@@ -197,71 +197,36 @@ def _render_versions(counts: Counter[int], unit: str) -> str:
                      for version in sorted(counts))
 
 
-def _load_sidecar(meta_path: str) -> dict:
-    """Read a ``PagedRTree.save_meta`` sidecar (raises ValueError)."""
-    with open(meta_path) as f:
-        meta = json.load(f)
-    if meta.get("format") != "repro-rtree-meta-v1":
-        raise ValueError(f"{meta_path}: not a repro R-tree meta file")
-    return meta
-
-
-def fsck(path: str | os.PathLike, *, meta_path: str | os.PathLike | None = None,
-         page_size: int | None = None) -> FsckReport:
+def fsck(path: str | os.PathLike) -> FsckReport:
     """Check the tree file at ``path``; never raises for file problems —
     every failure lands in the returned :class:`FsckReport`.
 
-    Durable files (superblock present) need no other input: page size,
-    flags and the tree header come from the file, and the intact records
-    of a legacy journal sidecar are replayed first (the recovery is
-    reported).  Plain page files need a ``meta_path`` sidecar (or an
-    explicit ``page_size``) since nothing in the file describes it.
+    The file describes itself: page size, flags and the tree header come
+    from its superblock, and the intact records of a legacy journal
+    sidecar are replayed first (the recovery is reported).  A file
+    without a superblock is fatal: nothing in it says how to read it.
 
     A streaming-ingest sidecar directory (``<path>.ingest/``) is
     verified whenever one exists — even when the tree file itself is
     damaged, since the WAL may be the only surviving copy of recent
     writes.
     """
-    report = _fsck_store(path, meta_path=meta_path, page_size=page_size)
+    report = _fsck_store(path)
     _check_ingest(os.fspath(path), report)
     return report
 
 
-def _fsck_store(path: str | os.PathLike, *,
-                meta_path: str | os.PathLike | None = None,
-                page_size: int | None = None) -> FsckReport:
+def _fsck_store(path: str | os.PathLike) -> FsckReport:
     """Phases 1-3: the page store and the packed tree inside it."""
     path = os.fspath(path)
     report = FsckReport(path=path)
     if not os.path.exists(path):
         report.fatal = "file does not exist"
         return report
-
-    sidecar: dict | None = None
-    if meta_path is not None:
-        try:
-            sidecar = _load_sidecar(os.fspath(meta_path))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            report.fatal = f"cannot read meta sidecar: {exc}"
-            return report
-
-    with open(path, "rb") as f:
-        durable = looks_like_superblock(f.read(4))
-
-    store: FilePageStore | None = None
     try:
-        if durable:
-            # Self-describing: superblock supplies the layout, and a
-            # legacy journal flag replays any crash-interrupted writes.
-            store = FilePageStore.open_existing(path)
-        else:
-            if page_size is None and sidecar is not None:
-                page_size = int(sidecar["page_size"])
-            if page_size is None:
-                report.fatal = ("no superblock and no page size — pass a "
-                                "meta sidecar (--meta) or --page-size")
-                return report
-            store = FilePageStore(path, page_size)
+        # The superblock supplies the layout, and a legacy journal flag
+        # replays any crash-interrupted writes.
+        store = FilePageStore.open_existing(path)
     except (StoreError, IntegrityError, OSError) as exc:
         report.fatal = f"cannot open store: {exc}"
         return report
@@ -293,7 +258,7 @@ def _fsck_store(path: str | os.PathLike, *,
         report.pages_checked = store.page_count
 
         # -- phase 3: the pages form a committed, well-shaped tree --------
-        meta = store.tree_meta if durable else sidecar
+        meta = store.tree_meta
         if meta is None:
             report.fatal = (
                 "no tree metadata — the build never committed "

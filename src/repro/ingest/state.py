@@ -29,9 +29,11 @@ import os
 from ..core.geometry import Rect
 from ..obs import runtime as obs
 from ..storage.faults import CrashPlan
+from ..storage.integrity import IntegrityError
+from ..storage.store import StoreError, _find_superblock
 from .delta import DeltaTree
 from .merge import resolve_current, sweep_drained
-from .wal import WalOp, WriteAheadLog, ingest_dir
+from .wal import IngestError, WalOp, WriteAheadLog, ingest_dir
 
 __all__ = ["IngestState", "DEFAULT_WAL_LIMIT"]
 
@@ -69,10 +71,19 @@ class IngestState:
         packed generation the overlay should serve under the replayed
         delta.  Replay is exact: the WAL constructor discards a torn
         tail, and every surviving (i.e. previously acked) op lands in
-        the live delta in LSN order.
+        the live delta in LSN order.  A base file without a superblock
+        raises :class:`~repro.ingest.wal.IngestError` naming it, and no
+        WAL directory is created.
         """
         tree_path = os.fspath(tree_path)
         base_path, pointer = resolve_current(tree_path)
+        try:
+            # A merge re-packs the base from its superblock; refuse a
+            # plain page file before the WAL directory exists, not at
+            # the first merge after writes were acked.
+            _find_superblock(base_path)
+        except (StoreError, IntegrityError, OSError) as exc:
+            raise IngestError(str(exc)) from None
         sweep_drained(tree_path)
         wal = WriteAheadLog(
             ingest_dir(tree_path),

@@ -26,8 +26,6 @@ Design notes
 
 from __future__ import annotations
 
-import json
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Container, Iterator, Sequence
@@ -101,28 +99,6 @@ class PagedRTree:
 
     # -- persistence ------------------------------------------------------
 
-    def save_meta(self, path: str | os.PathLike) -> None:
-        """Write the tree header (root page, height, geometry) as JSON.
-
-        The node pages themselves live in the page store; for a
-        :class:`~repro.storage.store.FilePageStore` this sidecar is all
-        that is needed to reopen the tree in another process — see
-        :meth:`open`.  Durable stores additionally persist the same
-        metadata in their superblock (see :meth:`commit_meta` /
-        :meth:`from_store`), making the page file self-contained.
-        """
-        meta = {
-            "format": "repro-rtree-meta-v1",
-            "root_page": self.root_page,
-            "height": self.height,
-            "ndim": self.ndim,
-            "capacity": self.capacity,
-            "size": self._size,
-            "page_size": self.store.page_size,
-        }
-        with open(os.fspath(path), "w") as f:
-            json.dump(meta, f, indent=2)
-
     def commit_meta(self) -> bool:
         """Persist the tree header into the store's superblock, when the
         store has one (returns whether it did).
@@ -143,30 +119,6 @@ class PagedRTree:
         return True
 
     @classmethod
-    def open(cls, store: PageStore, meta_path: str | os.PathLike
-             ) -> "PagedRTree":
-        """Reattach a tree whose pages are already in ``store``."""
-        with open(os.fspath(meta_path)) as f:
-            meta = json.load(f)
-        if meta.get("format") != "repro-rtree-meta-v1":
-            raise GeometryError(
-                f"{meta_path}: not a repro R-tree meta file"
-            )
-        if meta["page_size"] != store.page_size:
-            raise GeometryError(
-                f"store page size {store.page_size} != saved "
-                f"{meta['page_size']}"
-            )
-        return cls(
-            store,
-            int(meta["root_page"]),
-            height=int(meta["height"]),
-            ndim=int(meta["ndim"]),
-            capacity=int(meta["capacity"]),
-            size=int(meta["size"]),
-        )
-
-    @classmethod
     def from_store(cls, store: PageStore) -> "PagedRTree":
         """Reattach a tree from a self-describing (durable) store alone.
 
@@ -181,7 +133,7 @@ class PagedRTree:
             raise StoreError(
                 f"{path}: superblock holds no tree metadata — the build "
                 f"never committed (crash before completion?) or the store "
-                f"is not durable; pass a meta sidecar to PagedRTree.open"
+                f"is not durable"
             )
         return cls(
             store,

@@ -28,13 +28,14 @@ closed.  It ignores SIGINT:
 a Ctrl-C reaches the whole process group, and the server, which
 finishes a merge in flight before it exits, decides.
 
-The child dies with the server.  A daemon thread in the child waits on
-the server's process sentinel and ends the child at once when it
-fires, so an orphaned merge never commits a pointer under a restarted
-server (the merge is SIGKILL-resumable, so ending it anywhere is
-safe).  A child that dies without answering (SIGKILL, the OOM killer)
-raises :class:`ChildDied` naming the signal or exit code; the call
-never hangs on it.
+The child dies with the server.  A daemon thread in the child
+(:func:`exit_with_parent`, which pool workers start too) waits on the
+server's process sentinel and ends the child at once when it fires, so
+an orphaned merge never commits a pointer under a restarted server
+(the merge is SIGKILL-resumable, so ending it anywhere is safe).  A
+child that dies without answering (SIGKILL, the OOM killer) raises
+:class:`ChildDied` naming the signal or exit code; the call never
+hangs on it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Any, Callable, TypeVar
 from ..obs import runtime as obs
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["ChildDied", "run_in_child"]
+__all__ = ["ChildDied", "exit_with_parent", "run_in_child"]
 
 T = TypeVar("T")
 
@@ -69,8 +70,22 @@ class ChildDied(RuntimeError):
     """The child ended without answering (killed, or exited early)."""
 
 
-def _exit_with_parent(sentinel: int) -> None:
-    """Child-side watch: end the child the moment its parent is gone."""
+def exit_with_parent() -> None:
+    """End this child process the moment its parent is gone.
+
+    Starts one daemon thread that blocks on the parent's process
+    sentinel, then leaves through ``os._exit`` with
+    :data:`ORPHANED_EXIT`: it costs one blocked thread and nothing per
+    request.  Merge children and pool workers both start it first
+    thing; a process without a ``multiprocessing`` parent starts none.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_wait_for_parent, args=(parent.sentinel,),
+                         name="repro-child-watch", daemon=True).start()
+
+
+def _wait_for_parent(sentinel: int) -> None:
     wait([sentinel])
     os._exit(ORPHANED_EXIT)
 
@@ -94,10 +109,7 @@ def _child_main(sender: Connection, fn: Callable[..., Any],
                 args: tuple[Any, ...]) -> None:
     """Child entry point (module-level so ``spawn`` can pickle it)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent = multiprocessing.parent_process()
-    if parent is not None:
-        threading.Thread(target=_exit_with_parent, args=(parent.sentinel,),
-                         name="repro-child-watch", daemon=True).start()
+    exit_with_parent()
     # Under fork the child inherits the caller's tracer, open spans
     # included, so its spans nest where the call would have; a fresh
     # registry holds only what the child adds.

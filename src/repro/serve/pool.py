@@ -34,6 +34,17 @@ flagged), or a **typed error** — never silently wrong.
   (:meth:`WorkerPool.aclose` lets requests in flight finish first);
   the server answers in-process between the two, so clients never see
   the cutover, only the ``generation`` counter moving.
+* Workers answer as the server would: each opens the generation's
+  durable file from its superblock alone and skips the pages the
+  server had quarantined when the pool started (a reload's fresh pool
+  starts from the new generation's empty quarantine, as the server
+  does).  A worker exits the moment its server dies
+  (:func:`~repro.serve.child.exit_with_parent`), so a ``kill -9`` of
+  the server leaves no worker holding the mapped file.
+* A pool that cannot fork its workers stops those it started and
+  raises :class:`PoolUnavailable`, so the server serves in-process; a
+  restart whose fork fails counts as one more death and is retried
+  after backoff.
 
 Workers answer through the same executor as the in-process server
 (:func:`repro.serve.query.execute` on an
@@ -82,6 +93,7 @@ from .protocol import (
     encode_ids,
 )
 from . import query
+from .child import exit_with_parent
 from .supervisor import FlapDetector, RestartBackoff, WorkerState
 
 __all__ = ["TreeSpec", "WorkerPool", "PoolUnavailable", "worker_main"]
@@ -159,50 +171,31 @@ class _FrameReader:
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """Everything a worker process needs to open one tree generation.
+    """Everything a worker process needs to serve one tree generation.
 
-    Plain data (picklable under ``spawn``): the file path plus the tree
-    header, since a worker must never trust an unverified file to
-    describe itself beyond what the superblock already commits.
+    Plain data (picklable under ``spawn``): the durable file's path,
+    whose superblock describes the tree, and the server's quarantine
+    when the pool started, which every worker of the pool skips.
     """
 
     path: str
-    page_size: int | None
-    meta: dict  # root_page / height / ndim / capacity / size
     buffer_pages: int
     generation: int
+    quarantine: frozenset[int]
 
     @classmethod
-    def for_tree(cls, tree: Any, *, buffer_pages: int,
-                 generation: int) -> "TreeSpec | None":
-        """Build a spec for a live server tree, or ``None`` when the
-        tree is not file-backed (memory stores cannot be re-opened by
-        another process)."""
-        path = _backing_path(tree.store)
-        if path is None:
+    def for_tree(cls, tree: Any, *, buffer_pages: int, generation: int,
+                 quarantine: frozenset[int] = frozenset()
+                 ) -> "TreeSpec | None":
+        """Build a spec for a live server tree, or ``None`` unless a
+        durable file backs it: a worker opens its generation by path,
+        from the superblock alone, which memory, striped and plain page
+        stores do not have."""
+        path = getattr(tree.store, "path", None)
+        if path is None or getattr(tree.store, "tree_meta", None) is None:
             return None
-        meta = {
-            "root_page": tree.root_page,
-            "height": tree.height,
-            "ndim": tree.ndim,
-            "capacity": tree.capacity,
-            "size": len(tree),
-        }
-        return cls(path=path, page_size=tree.store.page_size,
-                   meta=meta, buffer_pages=buffer_pages,
-                   generation=generation)
-
-
-def _backing_path(store: Any) -> str | None:
-    """File path behind a (possibly wrapped) store, else ``None``."""
-    seen: set[int] = set()
-    while store is not None and id(store) not in seen:
-        seen.add(id(store))
-        path = getattr(store, "path", None)
-        if path is not None:
-            return str(path)
-        store = getattr(store, "inner", None)
-    return None
+        return cls(path=str(path), buffer_pages=buffer_pages,
+                   generation=generation, quarantine=quarantine)
 
 
 def _open_spec(spec: TreeSpec) -> tuple[OverlaySearcher, Any]:
@@ -211,12 +204,8 @@ def _open_spec(spec: TreeSpec) -> tuple[OverlaySearcher, Any]:
     from ..rtree.paged import PagedRTree
     from ..storage.mmap_store import MmapPageStore
 
-    store = MmapPageStore(spec.path, spec.page_size)
-    meta = spec.meta
-    tree = PagedRTree(store, int(meta["root_page"]),
-                      height=int(meta["height"]), ndim=int(meta["ndim"]),
-                      capacity=int(meta["capacity"]),
-                      size=int(meta["size"]))
+    store = MmapPageStore(spec.path)
+    tree = PagedRTree.from_store(store)
     return OverlaySearcher(tree.searcher(spec.buffer_pages)), store
 
 
@@ -237,9 +226,16 @@ def worker_main(requests: Any, results: Any, spec: TreeSpec) -> None:
     a typed error and the worker lives on; only a genuine crash (signal,
     unhandled corruption of the process itself) drops the result pipe,
     which is exactly the signal the supervisor watches.
+
+    The worker skips the pages of ``spec.quarantine`` (and those its own
+    degraded walks quarantine), as the server's in-process walk does.
+    It exits the moment its server does: under ``fork`` it holds the
+    write end of its own request pipe, so ``recv`` alone would never
+    see EOF.
     """
+    exit_with_parent()
     searcher, store = _open_spec(spec)
-    quarantine: set[int] = set()
+    quarantine = set(spec.quarantine)
     out = results.fileno()
     _send(out, ("ready", os.getpid(), spec.generation))
     try:
@@ -373,12 +369,20 @@ class WorkerPool:
         *none* come up, or whose workers die fast enough to trip the
         flap circuit, raises :class:`PoolUnavailable` so the caller can
         fall back to in-process serving with a clear reason; a tripped
-        circuit ends the wait at once, since no worker will follow.
+        circuit ends the wait at once, since no worker will follow.  So
+        does a pool that cannot start its workers at all (``fork``
+        failing with ``EAGAIN``, say), after it has stopped those it
+        did start.
         """
         self._loop = asyncio.get_running_loop()
         self._started = True
-        for worker in self._workers:
-            self._spawn(worker)
+        try:
+            for worker in self._workers:
+                self._spawn(worker)
+        except Exception as exc:
+            await self.aclose()
+            raise PoolUnavailable(f"cannot start worker processes: "
+                                  f"{type(exc).__name__}: {exc}") from exc
         deadline = Deadline.after(START_TIMEOUT_S, self.clock)
         while not deadline.expired() and not self.flap.tripped:
             if self.workers_live == self.size:
@@ -398,13 +402,23 @@ class WorkerPool:
     def _spawn(self, worker: _Worker) -> None:
         loop = asyncio.get_running_loop()
         # One-way pipes: O_NONBLOCK on a duplex socket's end would make
-        # its sends non-blocking too.
-        requests_in, requests = self._ctx.Pipe(duplex=False)
-        results, results_out = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=worker_main, args=(requests_in, results_out, self.spec),
-            name=f"repro-serve-worker-{worker.index}", daemon=True)
-        proc.start()
+        # its sends non-blocking too.  Every end opened so far closes if
+        # a pipe or the fork fails (EMFILE, EAGAIN); the child's two
+        # ends close once it is forked.
+        ends: list[Any] = []
+        try:
+            ends += self._ctx.Pipe(duplex=False)
+            ends += self._ctx.Pipe(duplex=False)
+            requests_in, requests, results, results_out = ends
+            proc = self._ctx.Process(
+                target=worker_main,
+                args=(requests_in, results_out, self.spec),
+                name=f"repro-serve-worker-{worker.index}", daemon=True)
+            proc.start()
+        except BaseException:
+            for end in ends:
+                end.close()
+            raise
         requests_in.close()
         results_out.close()
         os.set_blocking(results.fileno(), False)
@@ -553,6 +567,11 @@ class WorkerPool:
             f"worker {index} (pid {worker.pid}) exited with code "
             f"{exitcode}")
         self._redispatch_from(index)
+        self._schedule_restart(worker, proc)
+
+    def _schedule_restart(self, worker: _Worker, proc: Any) -> None:
+        """Count a death toward the flap circuit, then degrade or
+        restart the worker after its backoff."""
         now = self.clock()
         if self.flap.record(now):
             self._degrade(now)
@@ -560,7 +579,7 @@ class WorkerPool:
         worker.state = WorkerState.RESTARTING
         delay = worker.backoff.next_delay()
         if self._loop is not None:
-            self._loop.call_later(delay, self._restart, index, proc)
+            self._loop.call_later(delay, self._restart, worker.index, proc)
         self._set_gauges()
 
     def _restart(self, index: int, old_proc: Any) -> None:
@@ -572,7 +591,15 @@ class WorkerPool:
         worker.restarts += 1
         self.restarts_total += 1
         obs.inc("serve.pool.restarts")
-        self._spawn(worker)
+        try:
+            self._spawn(worker)
+        except OSError as exc:
+            # A failed fork is one more death: retry after backoff, or
+            # trip the circuit, rather than fail in a loop callback.
+            self.last_restart_reason = (
+                f"worker {index} could not be restarted: "
+                f"{type(exc).__name__}: {exc}")
+            self._schedule_restart(worker, old_proc)
 
     def _redispatch_from(self, index: int) -> None:
         """At-most-once re-dispatch of a dead worker's in-flight work."""

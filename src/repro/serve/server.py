@@ -46,7 +46,8 @@ store misbehaves:
 
 * started with ``workers=N``, queries execute in a supervised pool of
   ``N`` crash-isolated worker *processes* (:mod:`repro.serve.pool`),
-  each mmapping the generation file read-only; a crashed or hung
+  each mmapping the generation file read-only and skipping the
+  server's quarantine as the in-process walk does; a crashed or hung
   worker is restarted with backoff, its in-flight requests are
   re-dispatched at most once (typed ``WorkerLost`` after that), a
   flapping pool degrades to in-process serving instead of
@@ -84,7 +85,7 @@ from ..obs import runtime as obs
 from ..obs.slo import RollingWindow
 from ..rtree.paged import PagedRTree
 from ..storage.breaker import CircuitBreaker
-from ..storage.integrity import IntegrityError, looks_like_superblock
+from ..storage.integrity import IntegrityError
 from ..storage.page import PageFormatError
 from ..storage.store import StoreError
 from .admission import AdmissionController
@@ -576,15 +577,6 @@ class QueryServer:
         """
         from ..fsck import fsck as run_fsck
 
-        try:
-            with open(path, "rb") as f:
-                durable = looks_like_superblock(f.read(4))
-        except OSError as exc:
-            raise ReloadRejected(f"cannot read {path}: {exc}") from None
-        if not durable:
-            raise ReloadRejected(
-                f"{path} has no superblock; reload serves only durable "
-                "self-describing tree files")
         report: FsckReport | str
         try:
             report, _ = run_in_child("fsck", run_fsck, path)
@@ -723,11 +715,12 @@ class QueryServer:
         The caller holds the write lock and publishes the result."""
         spec = TreeSpec.for_tree(self.tree,
                                  buffer_pages=self.buffer_pages,
-                                 generation=self.generation)
+                                 generation=self.generation,
+                                 quarantine=frozenset(self.quarantine))
         if spec is None:
             self.pool_start_error = (
-                "tree store is not file-backed; worker processes cannot "
-                "re-open it — serving in-process")
+                "tree store is not a durable file-backed store; worker "
+                "processes cannot re-open it — serving in-process")
             obs.inc("serve.pool.start_failures")
             return None
         pool = WorkerPool(spec, self.workers, seed=POOL_SEED)

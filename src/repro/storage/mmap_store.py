@@ -12,10 +12,12 @@ buffer pool's ``read`` calls.
 * **Read-only by construction** — :meth:`allocate` and ``write_page``
   raise :class:`~repro.storage.store.StoreError`; the file can never be
   perturbed by a serving worker, no matter how it crashes.
-* **Self-describing** — a durable file's superblock supplies the page
-  size, durability flags and committed tree metadata, so
-  :meth:`~repro.rtree.paged.PagedRTree.from_store` works unchanged;
-  plain page files just need an explicit ``page_size``.
+* **Self-describing** — the file's superblock supplies the page size,
+  durability flags and committed tree metadata, so
+  :meth:`~repro.rtree.paged.PagedRTree.from_store` works unchanged.  A
+  plain page file (no superblock) is refused with a
+  :class:`~repro.storage.store.StoreError` naming the missing
+  superblock: nothing in it says how to read it.
 * **CRC-verified on first touch** — the first read of each checksummed
   page runs the full trailer verification; later reads of the same page
   skip it (the mapping is read-only and the file immutable, so the
@@ -56,7 +58,6 @@ from .integrity import (
     SUPERBLOCK_SLOTS,
     TRAILER_SIZE,
     ChecksumError,
-    looks_like_superblock,
     verify_trailer,
 )
 from .journal import journal_has_records, journal_path
@@ -71,58 +72,28 @@ __all__ = ["MmapPageStore"]
 
 
 class MmapPageStore(PageStore):
-    """Read-only page store over one memory-mapped page file.
+    """Read-only page store over one memory-mapped durable page file.
 
     Parameters
     ----------
     path:
-        The page file.  A durable file (superblock magic at offset 0)
-        describes itself; a plain file needs ``page_size``.
-    page_size:
-        Required for plain files; optional for durable files (when
-        given it must match the superblock).
+        The page file.  Its superblock supplies the page size, the flags
+        and the committed tree header; a file without one (a plain page
+        file) raises :class:`~repro.storage.store.StoreError`.
 
     A checksummed page's CRC trailer is verified on its first touch.
     """
 
     def __init__(self, path: str | os.PathLike[str],
-                 page_size: int | None = None,
                  stats: IOStats | None = None, *,
                  retry: "RetryPolicy | None" = None,
                  breaker: "CircuitBreaker | None" = None) -> None:
         self._path = os.fspath(path)
-        with open(self._path, "rb") as probe:
-            head = probe.read(4)
-        durable = looks_like_superblock(head)
-        if durable:
-            sb = _find_superblock(self._path)
-            if page_size is not None and page_size != sb.page_size:
-                raise StoreError(
-                    f"{self._path}: superblock page size {sb.page_size} "
-                    f"!= requested {page_size}"
-                )
-            page_size = sb.page_size
-            self._flags = sb.flags
-            self._count = sb.page_count
-            self._tree_meta: dict | None = sb.tree
-            self._reserved = SUPERBLOCK_SLOTS
-        else:
-            if page_size is None:
-                raise StoreError(
-                    f"{self._path}: no superblock — a plain page file "
-                    f"needs an explicit page_size"
-                )
-            size = os.path.getsize(self._path)
-            if size % page_size:
-                raise StoreError(
-                    f"{self._path}: size {size} is not a multiple of "
-                    f"page size {page_size}"
-                )
-            self._flags = 0
-            self._count = size // page_size
-            self._tree_meta = None
-            self._reserved = 0
-        super().__init__(page_size, stats, retry=retry, breaker=breaker)
+        sb = _find_superblock(self._path)
+        self._flags = sb.flags
+        self._count = sb.page_count
+        self._tree_meta: dict | None = sb.tree
+        super().__init__(sb.page_size, stats, retry=retry, breaker=breaker)
         if self._flags & FLAG_JOURNAL and journal_has_records(
                 journal_path(self._path)):
             raise StoreError(
@@ -197,7 +168,7 @@ class MmapPageStore(PageStore):
     @property
     def supports_tree_meta(self) -> bool:
         """Durable files carry tree metadata in their superblock."""
-        return self._reserved > 0
+        return True
 
     @property
     def tree_meta(self) -> dict | None:
@@ -215,7 +186,7 @@ class MmapPageStore(PageStore):
         raise StoreError(f"{self._path}: MmapPageStore is read-only")
 
     def _data_offset(self, page_id: int) -> int:
-        return (self._reserved + page_id) * self.page_size
+        return (SUPERBLOCK_SLOTS + page_id) * self.page_size
 
     def _image(self, page_id: int) -> bytes:
         """The raw on-disk page image, zero-padded past EOF."""
@@ -226,9 +197,7 @@ class MmapPageStore(PageStore):
         data = bytes(self._map[offset:end]) if (
             self._map is not None and end > offset) else b""
         if len(data) != self.page_size:
-            if self._reserved == 0:
-                raise StoreError(f"short read on page {page_id}")
-            # Durable counts come from the superblock; an allocated page
+            # Page counts come from the superblock; an allocated page
             # past EOF reads as never-written zeros and fails the
             # checksum verification with a precise error below.
             data = data + b"\x00" * (self.page_size - len(data))

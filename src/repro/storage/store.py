@@ -691,8 +691,8 @@ def _find_superblock(path: str) -> Superblock:
         head = f.read(64)
         if not looks_like_superblock(head):
             raise StoreError(
-                f"{path}: no superblock — not a durable page store (open "
-                f"with FilePageStore(path, page_size) instead)"
+                f"{path}: no superblock — not a durable page file (write "
+                f"it with checksums=True, as repro build does)"
             )
         size = os.fstat(f.fileno()).st_size
         candidates: list[Superblock] = []

@@ -50,18 +50,6 @@ class TestFsckModule:
         assert report.tree["size"] == 500
         assert "clean" in report.render()
 
-    def test_clean_plain_tree_with_sidecar(self, tmp_path, rects):
-        path = tmp_path / "plain.pages"
-        store = FilePageStore(path, required_page_size(CAPACITY, 2))
-        tree, _ = bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
-                            store=store)
-        meta = tmp_path / "plain.meta.json"
-        tree.save_meta(meta)
-        store.close()
-        report = fsck(path, meta_path=meta)
-        assert report.clean, report.render()
-        assert not report.checksums
-
     def test_dynamic_conversion_commits_a_checkable_durable_file(
             self, tmp_path, rng):
         """``paged_from_dynamic`` into a durable store goes through the
@@ -192,17 +180,19 @@ class TestFsckCli:
         assert code == 1
         assert "checksum mismatch" in capsys.readouterr().out
 
-    def test_plain_file_with_meta_flag(self, tmp_path, rects, capsys):
+    def test_plain_tree_file_is_fatal_exit_one(self, tmp_path, rects,
+                                               capsys):
+        """A tree packed into a plain page file (no superblock) does not
+        describe itself, so the check refuses it as one fatal error."""
         path = tmp_path / "plain.pages"
-        store = FilePageStore(path, required_page_size(CAPACITY, 2))
-        tree, _ = bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
-                            store=store)
-        meta = tmp_path / "m.json"
-        tree.save_meta(meta)
-        store.close()
-        code = main(["fsck", str(path), "--meta", str(meta),
-                     "--no-manifest"])
-        assert code == 0
+        with FilePageStore(path, required_page_size(CAPACITY, 2)) as store:
+            bulk_load(rects, SortTileRecursive(), capacity=CAPACITY,
+                      store=store)
+        code = main(["fsck", str(path), "--no-manifest"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FATAL" in out
+        assert out.count("no superblock") == 1
 
     def test_missing_target_is_usage_error(self):
         with pytest.raises(SystemExit):

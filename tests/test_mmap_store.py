@@ -60,7 +60,7 @@ def _flag_journal(path):
 
 class TestByteParity:
     @pytest.mark.parametrize("checksums,legacy_journal", [
-        (True, True), (True, False), (False, False),
+        (True, True), (True, False),
     ])
     def test_every_page_byte_identical(self, tmp_path, rng,
                                        checksums, legacy_journal):
@@ -70,10 +70,7 @@ class TestByteParity:
             store.close()
             _flag_journal(path)
             store = FilePageStore.open_existing(path)
-        # A plain (flagless) file has no superblock, so the mmap opener
-        # needs the page size spelled out; durable files self-describe.
-        kwargs = {} if checksums else {"page_size": PAGE_SIZE}
-        mapped = MmapPageStore(path, **kwargs)
+        mapped = MmapPageStore(path)
         assert mapped.page_count == store.page_count
         assert mapped.payload_size == store.payload_size
         for pid in range(store.page_count):
@@ -97,19 +94,14 @@ class TestByteParity:
         mapped.close()
         store.close()
 
-    def test_plain_file_requires_page_size(self, tmp_path, rng):
+    def test_plain_file_is_refused(self, tmp_path, rng):
+        """A plain page file (no superblock) does not describe itself:
+        mapping it is one error that names the missing superblock."""
         path = tmp_path / "plain.pages"
         store, _ = _build(rng, path, checksums=False)
         store.close()
-        with pytest.raises(StoreError, match="page_size"):
+        with pytest.raises(StoreError, match="no superblock"):
             MmapPageStore(path)
-
-    def test_page_size_mismatch_refused(self, tmp_path, rng):
-        store, _ = _build(rng, tmp_path / "tree.pages")
-        store.close()
-        with pytest.raises(StoreError, match="page size"):
-            MmapPageStore(tmp_path / "tree.pages",
-                          page_size=PAGE_SIZE * 2)
 
 
 class TestFirstTouchVerification:

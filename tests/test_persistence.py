@@ -1,62 +1,28 @@
-"""Unit tests for paged-tree persistence (save_meta / open)."""
+"""Unit tests for paged-tree persistence: a durable file reopens from its
+superblock alone (``PagedRTree.from_store``)."""
 
-import json
-
-import pytest
-
-from repro.core.geometry import GeometryError, Rect, RectArray
+from repro.core.geometry import Rect, RectArray
 from repro.core.packing import SortTileRecursive
 from repro.rtree.bulk import bulk_load
 from repro.rtree.paged import PagedRTree
 from repro.rtree.validate import validate_paged
+from repro.storage.integrity import TRAILER_SIZE
 from repro.storage.page import required_page_size
 from repro.storage.store import FilePageStore
 
 
-@pytest.fixture
-def saved_tree(tmp_path, rng):
+def test_reopen_roundtrip(tmp_path, rng):
     rects = RectArray.from_points(rng.random((1_000, 2)))
-    page_size = required_page_size(20, 2)
-    store = FilePageStore(tmp_path / "t.pages", page_size)
-    tree, _ = bulk_load(rects, SortTileRecursive(), capacity=20, store=store)
-    tree.save_meta(tmp_path / "t.meta.json")
-    store.close()
-    return tmp_path, rects
-
-
-def test_reopen_roundtrip(saved_tree):
-    tmp_path, rects = saved_tree
-    page_size = required_page_size(20, 2)
-    with FilePageStore(tmp_path / "t.pages", page_size) as store:
-        tree = PagedRTree.open(store, tmp_path / "t.meta.json")
+    page_size = required_page_size(20, 2) + TRAILER_SIZE
+    path = tmp_path / "t.pages"
+    with FilePageStore(path, page_size, checksums=True) as store:
+        bulk_load(rects, SortTileRecursive(), capacity=20, store=store)
+    with FilePageStore.open_existing(path) as store:
+        tree = PagedRTree.from_store(store)
         assert len(tree) == 1_000
         assert tree.capacity == 20
         validate_paged(tree, range(1_000))
         q = Rect((0.3, 0.3), (0.6, 0.6))
         got = tree.searcher(5).search(q)
-        assert got.size == rects.intersects_rect(q).sum()
-
-
-def test_meta_is_readable_json(saved_tree):
-    tmp_path, _ = saved_tree
-    meta = json.loads((tmp_path / "t.meta.json").read_text())
-    assert meta["format"] == "repro-rtree-meta-v1"
-    assert meta["size"] == 1_000
-    assert meta["page_size"] == required_page_size(20, 2)
-
-
-def test_page_size_mismatch_rejected(saved_tree):
-    tmp_path, _ = saved_tree
-    other = FilePageStore(tmp_path / "other.pages", 512)
-    with pytest.raises(GeometryError):
-        PagedRTree.open(other, tmp_path / "t.meta.json")
-    other.close()
-
-
-def test_bad_format_rejected(tmp_path):
-    (tmp_path / "bad.json").write_text(json.dumps({"format": "nope"}))
-    store = FilePageStore(tmp_path / "x.pages",
-                          required_page_size(20, 2))
-    with pytest.raises(GeometryError):
-        PagedRTree.open(store, tmp_path / "bad.json")
-    store.close()
+        assert sorted(got.tolist()) == \
+            rects.intersects_rect(q).nonzero()[0].tolist()

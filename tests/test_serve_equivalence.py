@@ -7,7 +7,9 @@ empty.  The tree holds heavily
 overlapping squares, so kNN answers tie at distance zero across ``k``,
 and two non-root pages carry a flipped bit, so some answers are
 degraded (``partial=true``).  The encoded responses, with ``elapsed_s``
-cleared, must be identical on every path.
+cleared, must be identical on every path.  The stream runs once more
+in-process and on a two-worker pool with one intact leaf quarantined
+on the server, and those two must agree as well.
 """
 
 import asyncio
@@ -39,7 +41,7 @@ SEED = 20_260_417
 def _build(path):
     """A durable tree of overlapping squares with two bit-flipped pages:
     one root child (a whole subtree) and one leaf under another root
-    child."""
+    child.  Also returns an intact leaf under a third root child."""
     rng = np.random.default_rng(SEED)
     los = rng.random((SQUARES, NDIM)) * (1.0 - SIDE)
     store = FilePageStore(path, PAGE_SIZE, checksums=True)
@@ -49,10 +51,11 @@ def _build(path):
     shards = [int(c) for c in tree.root_node().children]
     assert len(shards) >= 3
     leaf = int(tree.read_node(shards[-1]).children[0])
+    intact = int(tree.read_node(shards[0]).children[0])
     corrupt_pages(store, [(shards[1], PAGE_SIZE * 4 + 3),
                           (leaf, PAGE_SIZE * 4 + 5)])
     store.close()
-    return los, los + SIDE
+    return los, los + SIDE, intact
 
 
 def _stream(rng):
@@ -100,12 +103,15 @@ async def _replay(path, requests, **config):
 def answers(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("equivalence")
     built = workdir / "built.rt"
-    los, his = _build(built)
+    los, his, intact = _build(built)
     requests = _stream(np.random.default_rng(SEED + 1))
     configs = {
         "in-process": {},
         "workers=2": {"workers": 2},
         "ingest, empty delta": {"ingest": True},
+        "in-process, quarantined leaf": {"quarantine": [intact]},
+        "workers=2, quarantined leaf": {"workers": 2,
+                                        "quarantine": [intact]},
     }
     out = {}
     for index, (name, config) in enumerate(configs.items()):
@@ -128,15 +134,25 @@ def test_stream_exercises_degraded_answers_and_knn_ties(answers):
             covering = int(((los <= p) & (his >= p)).all(axis=1).sum())
             straddling += covering > req.k
     assert straddling >= 10, "distance-0 ties must straddle k"
+    quarantined = out["in-process, quarantined leaf"]
+    assert sum(a != b for a, b in zip(quarantined, out["in-process"])) >= 5
 
 
-@pytest.mark.parametrize("path", ["workers=2", "ingest, empty delta"])
+#: Each served path and the in-process run it must answer like.
+REFERENCE = {
+    "workers=2": "in-process",
+    "ingest, empty delta": "in-process",
+    "workers=2, quarantined leaf": "in-process, quarantined leaf",
+}
+
+
+@pytest.mark.parametrize("path", list(REFERENCE))
 def test_path_answers_byte_for_byte_like_in_process(answers, path):
     requests, out, _ = answers
-    want, got = out["in-process"], out[path]
+    want, got = out[REFERENCE[path]], out[path]
     differ = [i for i, (a, b) in enumerate(zip(want, got)) if a != b]
     assert len(got) == len(want)
     assert not differ, (
         f"{len(differ)} of {len(want)} responses differ; first: "
-        f"{requests[differ[0]]}\n in-process: {want[differ[0]]!r}\n"
+        f"{requests[differ[0]]}\n {REFERENCE[path]}: {want[differ[0]]!r}\n"
         f" {path}: {got[differ[0]]!r}")

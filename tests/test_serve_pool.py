@@ -5,11 +5,16 @@ pool, and the pool blocks of the health endpoints.  No worker process
 outlives a test."""
 
 import asyncio
+import dataclasses
 import errno
 import json
 import multiprocessing
 import os
+import pickle
 import signal
+import socket
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -46,6 +51,8 @@ from repro.storage.page import required_page_size
 CAPACITY = 25
 NDIM = 2
 PAGE_SIZE = required_page_size(CAPACITY, NDIM) + TRAILER_SIZE
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def _build(rng, store=None, n=2_000):
@@ -160,15 +167,31 @@ class TestTreeSpec:
         assert TreeSpec.for_tree(striped, buffer_pages=32,
                                  generation=1) is None
         striped.store.close()
+        # Nor can a plain page file describe itself to a worker.
+        store = FilePageStore(tmp_path / "plain.pages", PAGE_SIZE)
+        _, plain = _build(rng, store=store, n=300)
+        assert TreeSpec.for_tree(plain, buffer_pages=32,
+                                 generation=1) is None
+        store.close()
 
     def test_durable_tree_spec_round_trips(self, tmp_path, rng):
         tree = _durable_tree(tmp_path, rng, n=600)
-        spec = TreeSpec.for_tree(tree, buffer_pages=32, generation=7)
+        spec = TreeSpec.for_tree(tree, buffer_pages=32, generation=7,
+                                 quarantine=frozenset({3}))
         assert spec is not None
+        assert [f.name for f in dataclasses.fields(spec)] == [
+            "path", "buffer_pages", "generation", "quarantine"]
         assert spec.path == str(tmp_path / "tree.pages")
+        assert spec.buffer_pages == 32
         assert spec.generation == 7
-        assert spec.meta["root_page"] == tree.root_page
-        assert spec.meta["size"] == len(tree)
+        assert spec.quarantine == frozenset({3})
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        # A worker needs nothing else: the superblock describes the tree.
+        searcher, store = repro.serve.pool._open_spec(spec)
+        reopened = searcher.searcher.tree
+        assert (reopened.root_page, reopened.height, len(reopened)) == (
+            tree.root_page, tree.height, len(tree))
+        store.close()
         tree.store.close()
 
 
@@ -408,6 +431,71 @@ class TestWorkerPoolDirect:
         assert elapsed < START_TIMEOUT_S / 3, elapsed
         tree.store.close()
 
+    def test_a_restart_that_cannot_fork_counts_as_a_death(
+            self, tmp_path, rng):
+        """A fork failing when a dead worker restarts is retried after
+        backoff and trips the flap circuit, never raised into the
+        event loop."""
+        tree = _durable_tree(tmp_path, rng, n=600)
+        spec = TreeSpec.for_tree(tree, buffer_pages=32, generation=1)
+        loop_errors = []
+
+        def no_fork(worker):
+            raise BlockingIOError(errno.EAGAIN,
+                                  "Resource temporarily unavailable")
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context))
+            pool = WorkerPool(spec, 1, seed=0, flap_threshold=3,
+                              flap_window_s=60.0, backoff_base_s=0.01,
+                              backoff_max_s=0.02)
+            await pool.start()
+            try:
+                pool._spawn = no_fork
+                os.kill(pool.snapshot()["workers"][0]["pid"],
+                        signal.SIGKILL)
+                deadline = Deadline.after(10.0)
+                while not pool.degraded and not deadline.expired():
+                    await asyncio.sleep(0.02)
+                assert pool.degraded
+                assert pool.restarts_total == 2
+            finally:
+                await pool.aclose()
+
+        run(scenario())
+        assert loop_errors == []
+        tree.store.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open descriptors in /proc")
+    def test_a_pipe_that_cannot_open_leaks_no_fd(self, tmp_path, rng):
+        """A worker's second pipe fails with EMFILE: the pool cannot
+        start, and the first pipe's two ends are closed, not leaked."""
+        tree = _durable_tree(tmp_path, rng, n=600)
+        spec = TreeSpec.for_tree(tree, buffer_pages=32, generation=1)
+        pool = WorkerPool(spec, 1, seed=0)
+        ctx = pool._ctx
+        pipes = []
+
+        class OutOfFds:
+            def __getattr__(self, name):
+                return getattr(ctx, name)
+
+            def Pipe(self, duplex=True):
+                pipes.append(duplex)
+                if len(pipes) == 2:
+                    raise OSError(errno.EMFILE, "Too many open files")
+                return ctx.Pipe(duplex)
+
+        pool._ctx = OutOfFds()
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(PoolUnavailable, match="Too many open files"):
+            run(pool.start())
+        assert len(pipes) == 2
+        assert len(os.listdir("/proc/self/fd")) == fds
+        tree.store.close()
+
 
 def _no_fds(spec):
     """A worker's ``_open_spec`` on a host out of file descriptors."""
@@ -443,6 +531,45 @@ def _two_generations(tmp_path, rng):
 
 
 class TestServerWithPool:
+    def test_pool_that_cannot_fork_serves_in_process(
+            self, tmp_path, rng, monkeypatch):
+        """The pool's second fork fails with EAGAIN: the worker already
+        started is stopped, and the server answers in process with the
+        error as the pool's reason."""
+        tree = _durable_tree(tmp_path, rng)
+        oracle = tree.searcher(256)
+        queries = list(region_queries(0.05, 10, seed=14))
+        spawn = WorkerPool._spawn
+        calls = []
+
+        def fork_once(pool, worker):
+            calls.append(worker.index)
+            if len(calls) == 2:
+                raise BlockingIOError(errno.EAGAIN,
+                                      "Resource temporarily unavailable")
+            spawn(pool, worker)
+
+        monkeypatch.setattr(WorkerPool, "_spawn", fork_once)
+
+        async def scenario():
+            async with QueryServer(tree, buffer_pages=64,
+                                   workers=2) as server:
+                assert server.pool is None
+                assert "BlockingIOError" in server.pool_start_error
+                host, port = server.address
+                async with await QueryClient.connect(host, port) as client:
+                    for q in queries:
+                        resp = (await client.search(q)).raise_for_error()
+                        assert resp.ids == sorted(
+                            int(x) for x in oracle.search(q))
+                    health = await client.healthz()
+                    assert health["pool"]["enabled"] is False
+                    assert "BlockingIOError" in health["pool"]["reason"]
+
+        run(scenario())
+        assert calls == [0, 1]
+        tree.store.close()
+
     def test_pooled_server_matches_oracle_including_knn(
             self, tmp_path, rng):
         tree = _durable_tree(tmp_path, rng)
@@ -642,3 +769,57 @@ class TestServerWithPool:
         server = QueryServer(tree, buffer_pages=64, workers=2,
                              allow_reload=True)
         run(scenario())
+
+
+def _still_running(pids, within_s):
+    """The pids of ``pids`` neither gone nor a zombie after waiting up
+    to ``within_s`` seconds."""
+    deadline = time.monotonic() + within_s
+    while True:
+        running = []
+        for pid in pids:
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    state = f.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                continue
+            if state != "Z":
+                running.append(pid)
+        if not running or time.monotonic() > deadline:
+            return running
+        time.sleep(0.05)
+
+
+@needs_fork
+def test_workers_exit_when_their_server_is_killed(tmp_path, rng):
+    """SIGKILL the server alone, not its process group: its workers
+    exit at once instead of living on, reparented, with the file
+    mapped."""
+    _durable_tree(tmp_path, rng).store.close()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         str(tmp_path / "tree.pages"), "--port", "0", "--workers", "2",
+         "--no-manifest"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        stdin=subprocess.DEVNULL, start_new_session=True, text=True)
+    try:
+        line = server.stdout.readline()
+        assert "2/2 worker process(es)" in line, line
+        port = int(line.split(" on ")[1].split(" ")[0].rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            sock.sendall(b'{"op":"stats","id":1}\n')
+            stats = json.loads(sock.makefile().readline())
+        pids = [w["pid"] for w in stats["data"]["pool"]["workers"]]
+        assert len(pids) == 2 and server.pid not in pids
+        os.kill(server.pid, signal.SIGKILL)
+        server.wait(timeout=10)
+        assert _still_running(pids, 5.0) == []
+    finally:
+        try:
+            os.killpg(server.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        server.wait()
+        server.stdout.close()

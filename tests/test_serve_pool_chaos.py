@@ -120,9 +120,17 @@ def test_pool_kill_chaos_no_silently_wrong_answers(tmp_path, rng):
                     outcomes["exact"] += 1
 
     async def killer(server, seed=4242):
+        # Paced by answered queries, not wall time, so every kill lands
+        # mid-soak however fast the host: kill k fires once
+        # (k + 1) / (N_KILLS + 1) of the queries are answered.  A kill
+        # still pending when the traffic ends is one that did not fire.
         chaos = Random(seed)
-        while len(kills) < N_KILLS and not traffic_done.is_set():
-            await asyncio.sleep(chaos.uniform(0.02, 0.12))
+        while (len(kills) < N_KILLS and not traffic_done.is_set()
+               and not server.pool.degraded):
+            await asyncio.sleep(0.005)
+            answered = sum(outcomes.values()) + len(violations)
+            if answered * (N_KILLS + 1) < (len(kills) + 1) * len(queries):
+                continue
             ready = [w for w in server.pool.snapshot()["workers"]
                      if w["pid"] and w["state"] == "ready"]
             if not ready:

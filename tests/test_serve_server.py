@@ -4,6 +4,7 @@ the health endpoints."""
 
 import asyncio
 import json
+import os
 import struct
 
 import pytest
@@ -12,6 +13,8 @@ from repro import RectArray, SortTileRecursive, bulk_load
 from repro.core.geometry import Rect
 from repro.cli import main as cli_main
 from repro.fsck import fsck, read_quarantine, write_quarantine
+from repro.ingest import IngestState
+from repro.ingest.wal import IngestError, ingest_dir
 from repro.queries import point_queries, region_queries
 from repro.serve import REQUEST_LINE_LIMIT, QueryClient, QueryServer, Request
 from repro.storage import FilePageStore, MemoryPageStore
@@ -387,3 +390,41 @@ class TestStatsSnapshotAndShutdownManifest:
         snapshot = manifest["extra"]["serve"]
         assert snapshot["ready"] is True
         assert "admission" in snapshot and "breaker" in snapshot
+
+
+class TestPlainTreeFileRefused:
+    """A tree packed into a plain page file (no superblock) does not
+    describe itself: serving it or taking writes for it is refused
+    before anything binds or is acked, with one error naming the
+    missing superblock."""
+
+    def _plain_tree(self, tmp_path, rng):
+        path = tmp_path / "plain.pages"
+        with FilePageStore(path, required_page_size(CAPACITY, NDIM)) as store:
+            _build(rng, n=400, store=store)
+        return path
+
+    @pytest.mark.parametrize("flags", [[], ["--ingest"]])
+    def test_serve_is_a_usage_error_before_binding(
+            self, tmp_path, rng, monkeypatch, capsys, flags):
+        from repro.serve import server as server_mod
+
+        path = self._plain_tree(tmp_path, rng)
+
+        async def _bound(self, *args, **kwargs):
+            raise AssertionError("repro serve bound a socket")
+
+        monkeypatch.setattr(server_mod.QueryServer, "start", _bound)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["serve", str(path), "--port", "0", "--no-manifest",
+                      *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.count("no superblock") == 1
+        assert not os.path.exists(ingest_dir(path))
+
+    def test_ingest_state_refuses_before_the_wal_exists(self, tmp_path,
+                                                         rng):
+        path = self._plain_tree(tmp_path, rng)
+        with pytest.raises(IngestError, match="no superblock"):
+            IngestState.open(path, ndim=NDIM)
+        assert not os.path.exists(ingest_dir(path))
